@@ -1,6 +1,7 @@
 // Google-benchmark micro benchmarks for the substrates: query engine,
-// binning, Apriori, Word2Vec training, k-means, coverage evaluation. These
-// are throughput measurements of the building blocks behind Figs. 7 and 9.
+// binning, Apriori, Word2Vec training, k-means (plus the row k-means at the
+// serving shape), coverage evaluation. These are throughput measurements of
+// the building blocks behind Figs. 7 and 9.
 //
 // Like the figure harnesses, accepts --quick (CI-sized: only the smallest
 // size variant of each benchmark is registered); every other flag passes
@@ -14,10 +15,12 @@
 #include "subtab/binning/binned_table.h"
 #include "subtab/cluster/kmeans.h"
 #include "subtab/data/datasets.h"
+#include "subtab/embed/cell_model.h"
 #include "subtab/embed/word2vec.h"
 #include "subtab/metrics/combined.h"
 #include "subtab/rules/miner.h"
 #include "subtab/table/query.h"
+#include "subtab/workload/synthetic_table.h"
 
 namespace subtab {
 namespace {
@@ -94,6 +97,69 @@ void BM_KMeans(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 
+/// Tuple vectors of the first `rows` rows of a 6000-row forge table, over
+/// every column, under a dim-16 one-epoch SGNS fit: the row matrix the
+/// select stage hands to k-means on a serving request.
+std::vector<float> ForgeRowMatrix(size_t rows) {
+  using workload::ColumnDataDistribution;
+  using workload::SyntheticColumnSpec;
+  struct Fitted {
+    workload::SyntheticTable data;
+    BinnedTable binned;
+    CellModel cells;
+  };
+  static Fitted* fitted = [] {
+    workload::SyntheticTableSpec spec;
+    spec.num_rows = 6000;
+    spec.seed = 7;
+    spec.columns = {
+        SyntheticColumnSpec::Numeric("amount",
+                                     ColumnDataDistribution::Pareto(1.0, 1.3)),
+        SyntheticColumnSpec::Numeric(
+            "score", ColumnDataDistribution::NormalSkewed(50.0, 12.0, 4.0)),
+        SyntheticColumnSpec::Numeric(
+            "age", ColumnDataDistribution::Uniform(18.0, 90.0, 64), 0.35),
+        SyntheticColumnSpec::Numeric(
+            "visits", ColumnDataDistribution::Pareto(1.0, 1.5, 20), 0.2),
+        SyntheticColumnSpec::Categorical(
+            "region", ColumnDataDistribution::Uniform(0.0, 1.0, 4)),
+        SyntheticColumnSpec::Categorical(
+            "device", ColumnDataDistribution::Uniform(0.0, 1.0, 4), 0.5),
+        SyntheticColumnSpec::Categorical(
+            "plan", ColumnDataDistribution::Pareto(1.0, 1.1, 6), 0.3),
+    };
+    spec.num_profiles = 8;
+    auto* f = new Fitted{workload::GenerateSyntheticTable(spec), {}, {}};
+    f->binned = BinnedTable::Compute(f->data.table);
+    Rng rng(42);
+    const Corpus corpus = Corpus::Build(f->binned, CorpusOptions{}, &rng);
+    Word2VecOptions w2v;
+    w2v.dim = 16;
+    w2v.epochs = 1;
+    f->cells = CellModel(&f->binned, Word2VecModel::Train(corpus, w2v));
+    return f;
+  }();
+  std::vector<size_t> row_ids(rows);
+  for (size_t r = 0; r < rows; ++r) row_ids[r] = r;
+  std::vector<size_t> col_ids(fitted->binned.num_columns());
+  for (size_t c = 0; c < col_ids.size(); ++c) col_ids[c] = c;
+  return fitted->cells.RowMatrix(row_ids, col_ids);
+}
+
+/// The select stage's row k-means: k 10, 4 k-means++ restarts, dim 16.
+void BM_KMeansServing(benchmark::State& state) {
+  const std::vector<float> points =
+      ForgeRowMatrix(static_cast<size_t>(state.range(0)));
+  KMeansOptions options;
+  options.k = 10;
+  options.n_init = 4;
+  for (auto _ : state) {
+    KMeansResult result = KMeans(points, 16, options);
+    benchmark::DoNotOptimize(result.inertia);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+
 void BM_CoverageScore(benchmark::State& state) {
   const GeneratedDataset& data = Flights(static_cast<size_t>(state.range(0)));
   BinnedTable binned = BinnedTable::Compute(data.table);
@@ -131,6 +197,10 @@ void RegisterAll(bool quick) {
   auto* kmeans = benchmark::RegisterBenchmark("BM_KMeans", BM_KMeans);
   kmeans->Arg(2000)->Unit(benchmark::kMillisecond);
   if (!quick) kmeans->Arg(10000);
+  auto* serving =
+      benchmark::RegisterBenchmark("BM_KMeansServing", BM_KMeansServing);
+  serving->Arg(2048)->Unit(benchmark::kMillisecond)->UseRealTime();
+  if (!quick) serving->Arg(6000);
   auto* coverage =
       benchmark::RegisterBenchmark("BM_CoverageScore", BM_CoverageScore);
   coverage->Arg(5000)->Unit(benchmark::kMillisecond);

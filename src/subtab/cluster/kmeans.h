@@ -11,6 +11,14 @@
 /// Algorithm 2 (lines 11 and 16). SubTab displays *actual* rows/columns, so
 /// alongside the centroids we extract medoids: the real point nearest each
 /// centroid, guaranteed distinct, which become the selected rows/columns.
+///
+/// Two speed-ups leave every output bit-identical to plain serial Lloyd
+/// (cluster_test pins this against an oracle). The assignment step keeps
+/// Hamerly's triangle-inequality bounds (SDM 2010) and skips a point's other
+/// k-1 distances when the bounds, with a float-error margin, prove its own
+/// centroid strictly nearest. The `n_init` restarts of a large enough input
+/// run concurrently on up to HardwareThreads() threads, and the winner is
+/// picked in restart order, so the result is the same for any thread count.
 
 namespace subtab {
 
@@ -49,14 +57,14 @@ std::vector<size_t> ClusterRepresentatives(const std::vector<float>& points,
 /// Squared Euclidean distance between two dim-vectors.
 double SquaredDistance(const float* a, const float* b, size_t dim);
 
-/// Switches subsequent KMeans calls to the pre-refactor assignment loop (one
-/// serial double-accumulation chain per centroid) instead of the
-/// register-blocked kernel. The two are bit-identical by construction — each
-/// centroid's sum adds the same terms in the same order; cluster_test pins
-/// the equivalence — and the slow loop is kept so the serving benchmark can
-/// measure the kernel optimization's before/after and differential tests
-/// can cross-check. Process-wide; flip only between runs, not concurrently
-/// with them.
+/// Switches subsequent KMeans calls to the pre-refactor loop: restarts one
+/// after another, each computing every distance with one serial
+/// double-accumulation chain per centroid, instead of the bounded,
+/// register-blocked, fanned-out path. The two are bit-identical (cluster_test
+/// pins the equivalence), and the slow loop is kept so the serving benchmark
+/// can measure the optimizations' before/after and differential tests can
+/// cross-check. Process-wide; flip only between runs, not concurrently with
+/// them.
 void SetKMeansReferenceKernel(bool enable);
 bool KMeansReferenceKernelEnabled();
 

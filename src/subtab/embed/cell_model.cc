@@ -5,14 +5,7 @@ namespace subtab {
 std::vector<float> CellModel::RowVector(size_t row,
                                         const std::vector<size_t>& col_ids) const {
   SUBTAB_CHECK(!col_ids.empty());
-  std::vector<float> acc(dim(), 0.0f);
-  for (size_t c : col_ids) {
-    const auto v = CellVector(row, c);
-    for (size_t d = 0; d < acc.size(); ++d) acc[d] += v[d];
-  }
-  const float inv = 1.0f / static_cast<float>(col_ids.size());
-  for (float& x : acc) x *= inv;
-  return acc;
+  return RowMatrix({row}, col_ids);
 }
 
 std::vector<float> CellModel::ColumnVector(size_t col,
@@ -30,11 +23,20 @@ std::vector<float> CellModel::ColumnVector(size_t col,
 
 std::vector<float> CellModel::RowMatrix(const std::vector<size_t>& row_ids,
                                         const std::vector<size_t>& col_ids) const {
-  std::vector<float> matrix;
-  matrix.reserve(row_ids.size() * dim());
+  SUBTAB_CHECK(row_ids.empty() || !col_ids.empty());
+  // Per row: float sum over the columns in order, then one multiply by the
+  // reciprocal; accumulated in place, no per-row vector.
+  const size_t d_count = dim();
+  std::vector<float> matrix(row_ids.size() * d_count, 0.0f);
+  const float inv = 1.0f / static_cast<float>(col_ids.size());
+  float* out = matrix.data();
   for (size_t r : row_ids) {
-    const std::vector<float> v = RowVector(r, col_ids);
-    matrix.insert(matrix.end(), v.begin(), v.end());
+    for (size_t c : col_ids) {
+      const auto v = CellVector(r, c);
+      for (size_t d = 0; d < d_count; ++d) out[d] += v[d];
+    }
+    for (size_t d = 0; d < d_count; ++d) out[d] *= inv;
+    out += d_count;
   }
   return matrix;
 }

@@ -48,7 +48,7 @@ class CellModel {
   /// (Algorithm 2 line 14).
   std::vector<float> ColumnVector(size_t col, const std::vector<size_t>& row_ids) const;
 
-  /// Stacks RowVector for each row id into a row-major matrix.
+  /// RowVector of each row id, stacked into a row-major matrix.
   std::vector<float> RowMatrix(const std::vector<size_t>& row_ids,
                                const std::vector<size_t>& col_ids) const;
 
