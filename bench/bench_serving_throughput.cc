@@ -6,9 +6,6 @@
 // (Sec. 6.2.2's replay study), every step query issued as a SelectRequest by
 // closed-loop client threads (one client per engine worker). Phases per
 // thread count:
-//   legacy — the pre-refactor blocking executor (one monolithic
-//            SelectForQuery task per request): the before-side of the
-//            pipeline refactor, same queries, same engine chassis;
 //   cold   — the staged pipeline (scan/select stage hops, no intermediate
 //            materialization): mostly cache misses, raw throughput;
 //   warm   — every client replays the full list: the served-from-cache path.
@@ -18,10 +15,8 @@
 // restricted- vs full-scan rows, throughput delta). Emits the repo's
 // standard "json |" records AND the machine-readable BENCH_serving.json
 // artifact (p50/p95/p99 latency, throughput, shed rate, containment hit
-// rate) so the repo accumulates a perf trajectory; the full-size run
-// enforces the pipeline >= 2x the blocking executor at 16 threads, and
-// every run enforces containment hits > 0 with restricted scans smaller
-// than the table.
+// rate) so the repo accumulates a perf trajectory; every run enforces
+// containment hits > 0 with restricted scans smaller than the table.
 
 #include <algorithm>
 #include <cmath>
@@ -31,7 +26,6 @@
 #include <utility>
 
 #include "bench_common.h"
-#include "subtab/cluster/kmeans.h"
 #include "subtab/core/subtab.h"
 #include "subtab/eda/session_generator.h"
 #include "subtab/service/engine.h"
@@ -42,10 +36,6 @@
 
 namespace subtab::bench {
 namespace {
-
-/// The pipeline must beat the blocking executor by at least this factor at
-/// the top thread count (full-size run; CHECKed so CI catches regressions).
-constexpr double kPipelineSpeedupFloor = 2.0;
 
 /// Nearest-rank percentile over an ascending-sorted sample, in ms.
 double PercentileMs(const std::vector<double>& sorted_seconds, double p) {
@@ -137,41 +127,19 @@ void Report(const std::string& phase, size_t threads, const PhaseResult& result,
       .Emit(file);
 }
 
-/// One thread count: the blocking executor first (the before-side), then the
-/// staged pipeline cold + warm. Returns (legacy rps, pipeline cold rps).
-std::pair<double, double> RunOne(size_t threads, const GeneratedDataset& data,
-                                 const std::vector<SpQuery>& queries,
-                                 const std::string& model_dir,
-                                 BenchJsonFile* file) {
+/// One thread count: the staged pipeline cold + warm.
+void RunOne(size_t threads, const GeneratedDataset& data,
+            const std::vector<SpQuery>& queries, const std::string& model_dir,
+            BenchJsonFile* file) {
   // Cold phases partition the distinct work across clients.
   std::vector<std::vector<SpQuery>> shards(threads);
   for (size_t i = 0; i < queries.size(); ++i) {
     shards[i % threads].push_back(queries[i]);
   }
 
-  // ---- Legacy: the pre-refactor blocking executor, faithfully — one
-  // ---- monolithic task per request (materializing the intermediate query
-  // ---- result) AND the pre-refactor k-means distance kernel.
-  double legacy_rps = 0.0;
-  {
-    service::EngineOptions options;
-    options.num_threads = threads;
-    options.persist_dir = model_dir;  // Fit once, load on later phases.
-    options.staged_pipeline = false;
-    service::ServingEngine engine(options);
-    SUBTAB_CHECK(engine.RegisterTable("cyber", data.table, DefaultConfig()).ok());
-    SetKMeansReferenceKernel(true);
-    service::EngineStats before = engine.Stats();
-    PhaseResult legacy = RunClients(engine, threads, shards);
-    SetKMeansReferenceKernel(false);
-    Report("legacy", threads, legacy, before, engine.Stats(), file);
-    legacy_rps = legacy.rps;
-  }
-
-  // ---- Pipeline: staged scan/select with chunk-parallel scans. ----
   service::EngineOptions options;
   options.num_threads = threads;
-  options.persist_dir = model_dir;
+  options.persist_dir = model_dir;  // Fit once, load on later phases.
   service::ServingEngine engine(options);
   SUBTAB_CHECK(engine.RegisterTable("cyber", data.table, DefaultConfig()).ok());
 
@@ -190,7 +158,6 @@ std::pair<double, double> RunOne(size_t threads, const GeneratedDataset& data,
       .Field("threads", static_cast<uint64_t>(threads))
       .RawField("stats", after.ToJson())
       .Emit(file);
-  return {legacy_rps, cold.rps};
 }
 
 /// Open-loop overload against a bounded-admission engine: the shed-rate
@@ -750,23 +717,9 @@ int main(int argc, char** argv) {
 
   const std::vector<size_t> thread_counts =
       args.quick ? std::vector<size_t>{1, 4} : std::vector<size_t>{1, 4, 16};
-  double top_legacy_rps = 0.0;
-  double top_cold_rps = 0.0;
   for (size_t threads : thread_counts) {
-    std::tie(top_legacy_rps, top_cold_rps) =
-        RunOne(threads, data, queries, model_dir, &file);
+    RunOne(threads, data, queries, model_dir, &file);
   }
-  const double speedup = top_cold_rps / top_legacy_rps;
-  Measured(StrFormat("pipeline vs blocking executor at %zu threads: "
-                     "%.1f vs %.1f req/s (%.2fx, floor %.1fx)",
-                     thread_counts.back(), top_cold_rps, top_legacy_rps,
-                     speedup, kPipelineSpeedupFloor));
-  JsonLine("pipeline_speedup")
-      .Field("threads", static_cast<uint64_t>(thread_counts.back()))
-      .Field("legacy_rps", top_legacy_rps)
-      .Field("pipeline_rps", top_cold_rps)
-      .Field("speedup", speedup)
-      .Emit(&file);
 
   RunOverload(data, queries, model_dir, &file);
   RunDrillDown(data, model_dir, args.quick, &file);
@@ -774,9 +727,5 @@ int main(int argc, char** argv) {
   RunSampledSelection(args, &file);
   RunScanPruning(args, &file);
   file.Write();
-
-  // Enforced on the full-size run only: --quick's tiny tables leave too
-  // little per-request work for a stable ratio in CI.
-  if (!args.quick) SUBTAB_CHECK(speedup >= kPipelineSpeedupFloor);
   return 0;
 }

@@ -1,7 +1,6 @@
 #include "subtab/cluster/kmeans.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cfloat>
 #include <cmath>
 #include <limits>
@@ -11,18 +10,6 @@
 #include "subtab/util/parallel.h"
 
 namespace subtab {
-
-namespace {
-std::atomic<bool> g_reference_kernel{false};
-}  // namespace
-
-void SetKMeansReferenceKernel(bool enable) {
-  g_reference_kernel.store(enable, std::memory_order_relaxed);
-}
-
-bool KMeansReferenceKernelEnabled() {
-  return g_reference_kernel.load(std::memory_order_relaxed);
-}
 
 double SquaredDistance(const float* a, const float* b, size_t dim) {
   double acc = 0.0;
@@ -225,9 +212,8 @@ double DistanceCeiling(const std::vector<float>& points, size_t dim) {
 /// `ceiling` bounds it. Hence slack = rel_slack * (d + (iter + 1) * ceiling)
 /// with rel_slack = kSlackFactor * (dim + 3) * DBL_EPSILON.
 void RunRestart(const std::vector<float>& points, size_t dim,
-                const KMeansOptions& options, uint64_t seed, bool reference,
-                bool use_bounds, double ceiling, Workspace* ws,
-                KMeansResult* out) {
+                const KMeansOptions& options, uint64_t seed, bool use_bounds,
+                double ceiling, Workspace* ws, KMeansResult* out) {
   const size_t num_points = points.size() / dim;
   const size_t k = options.k;
   KMeansResult& result = *out;
@@ -252,92 +238,70 @@ void RunRestart(const std::vector<float>& points, size_t dim,
   for (size_t iter = 0; iter < options.max_iterations; ++iter) {
     result.iterations = iter + 1;
     double inertia = 0.0;
-    if (reference) {
-      // The pre-refactor assignment loop: one serial chain per centroid,
-      // every distance of every point.
-      for (size_t p = 0; p < num_points; ++p) {
-        const float* point = points.data() + p * dim;
-        for (size_t c = 0; c < k; ++c) {
-          acc[c] =
-              SquaredDistance(point, result.centroids.data() + c * dim, dim);
-        }
-        double best = acc[0];
-        uint32_t best_c = 0;
-        for (size_t c = 1; c < k; ++c) {
-          if (acc[c] < best) {
-            best = acc[c];
-            best_c = static_cast<uint32_t>(c);
-          }
-        }
-        result.assignment[p] = best_c;
-        inertia += best;
+    for (size_t c = 0; c < k; ++c) {
+      for (size_t d = 0; d < dim; ++d) {
+        cents_t[d * k + c] = static_cast<double>(result.centroids[c * dim + d]);
       }
-    } else {
+    }
+    const bool bounded = use_bounds && iter > 0;
+    if (bounded) {
       for (size_t c = 0; c < k; ++c) {
-        for (size_t d = 0; d < dim; ++d) {
-          cents_t[d * k + c] = static_cast<double>(result.centroids[c * dim + d]);
+        double nearest = std::numeric_limits<double>::infinity();
+        for (size_t o = 0; o < k; ++o) {
+          if (o == c) continue;
+          nearest = std::min(
+              nearest, SquaredDistance(result.centroids.data() + c * dim,
+                                       result.centroids.data() + o * dim, dim));
         }
+        ws->half_gap[c] = 0.5 * std::sqrt(nearest);
       }
-      const bool bounded = use_bounds && iter > 0;
+    }
+    const double abs_slack =
+        rel_slack * static_cast<double>(iter + 1) * ceiling;
+    double own_d2[kLanes];
+    for (size_t p = 0; p < num_points; ++p) {
+      const float* point = points.data() + p * dim;
+      const size_t lane = p % kLanes;
       if (bounded) {
-        for (size_t c = 0; c < k; ++c) {
-          double nearest = std::numeric_limits<double>::infinity();
-          for (size_t o = 0; o < k; ++o) {
-            if (o == c) continue;
-            nearest = std::min(
-                nearest, SquaredDistance(result.centroids.data() + c * dim,
-                                         result.centroids.data() + o * dim, dim));
+        if (lane == 0) {
+          // Own-centroid distances of the next kLanes points at once.
+          const float* ps[kLanes];
+          const float* cs[kLanes];
+          for (size_t j = 0; j < kLanes; ++j) {
+            const size_t q = std::min(p + j, num_points - 1);
+            ps[j] = points.data() + q * dim;
+            cs[j] = result.centroids.data() + result.assignment[q] * dim;
           }
-          ws->half_gap[c] = 0.5 * std::sqrt(nearest);
+          SquaredDistanceLanes(ps, cs, dim, own_d2);
+        }
+        const uint32_t own = result.assignment[p];
+        bound[p] -= own == max_mover ? second_move : max_move;
+        const double own_d = std::sqrt(own_d2[lane]);
+        if (own_d + rel_slack * own_d + abs_slack <
+            std::max(ws->half_gap[own], bound[p])) {
+          inertia += own_d2[lane];
+          continue;
         }
       }
-      const double abs_slack =
-          rel_slack * static_cast<double>(iter + 1) * ceiling;
-      double own_d2[kLanes];
-      for (size_t p = 0; p < num_points; ++p) {
-        const float* point = points.data() + p * dim;
-        const size_t lane = p % kLanes;
-        if (bounded) {
-          if (lane == 0) {
-            // Own-centroid distances of the next kLanes points at once.
-            const float* ps[kLanes];
-            const float* cs[kLanes];
-            for (size_t j = 0; j < kLanes; ++j) {
-              const size_t q = std::min(p + j, num_points - 1);
-              ps[j] = points.data() + q * dim;
-              cs[j] = result.centroids.data() + result.assignment[q] * dim;
-            }
-            SquaredDistanceLanes(ps, cs, dim, own_d2);
-          }
-          const uint32_t own = result.assignment[p];
-          bound[p] -= own == max_mover ? second_move : max_move;
-          const double own_d = std::sqrt(own_d2[lane]);
-          if (own_d + rel_slack * own_d + abs_slack <
-              std::max(ws->half_gap[own], bound[p])) {
-            inertia += own_d2[lane];
-            continue;
-          }
+      // Full scan: all k distances via the register-blocked kernel
+      // (bit-identical values, see DistanceBlock), then the ascending
+      // strict-`<` scan picks the winner; the runner-up seeds the bound.
+      DistancesToCentroids(point, cents_t, k, dim, acc);
+      double best = acc[0];
+      double second = std::numeric_limits<double>::infinity();
+      uint32_t best_c = 0;
+      for (size_t c = 1; c < k; ++c) {
+        if (acc[c] < best) {
+          second = best;
+          best = acc[c];
+          best_c = static_cast<uint32_t>(c);
+        } else if (acc[c] < second) {
+          second = acc[c];
         }
-        // Full scan: all k distances via the register-blocked kernel
-        // (bit-identical values, see DistanceBlock), then the ascending
-        // strict-`<` scan picks the winner; the runner-up seeds the bound.
-        DistancesToCentroids(point, cents_t, k, dim, acc);
-        double best = acc[0];
-        double second = std::numeric_limits<double>::infinity();
-        uint32_t best_c = 0;
-        for (size_t c = 1; c < k; ++c) {
-          if (acc[c] < best) {
-            second = best;
-            best = acc[c];
-            best_c = static_cast<uint32_t>(c);
-          } else if (acc[c] < second) {
-            second = acc[c];
-          }
-        }
-        result.assignment[p] = best_c;
-        if (use_bounds) bound[p] = std::sqrt(second);
-        inertia += best;
       }
+      result.assignment[p] = best_c;
+      if (use_bounds) bound[p] = std::sqrt(second);
+      inertia += best;
     }
     if (use_bounds) {
       std::copy(result.centroids.begin(), result.centroids.end(),
@@ -416,12 +380,10 @@ KMeansResult KMeans(const std::vector<float>& points, size_t dim,
   const size_t k = options.k;
   SUBTAB_CHECK(k >= 1 && k <= num_points);
 
-  const bool reference = KMeansReferenceKernelEnabled();
-  const bool use_bounds =
-      !reference && num_points >= kMinPointsPerCluster * k;
+  const bool use_bounds = num_points >= kMinPointsPerCluster * k;
   const double ceiling = use_bounds ? DistanceCeiling(points, dim) : 0.0;
   const size_t n_init = options.n_init;
-  const bool fan_out = !reference && num_points * k * dim >= kMinParallelWork;
+  const bool fan_out = num_points * k * dim >= kMinParallelWork;
   const size_t threads = fan_out ? std::min(n_init, HardwareThreads()) : 1;
   std::vector<KMeansResult> runs(n_init);
   for (KMeansResult& run : runs) {
@@ -438,7 +400,7 @@ KMeansResult KMeans(const std::vector<float>& points, size_t dim,
   const auto run_share = [&](size_t share) {
     for (size_t i = share; i < n_init; i += threads) {
       RunRestart(points, dim, options, options.seed + i * 0x9e3779b9ULL,
-                 reference, use_bounds, ceiling, &spaces[share], &runs[i]);
+                 use_bounds, ceiling, &spaces[share], &runs[i]);
     }
   };
   {

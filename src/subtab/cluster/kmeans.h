@@ -57,17 +57,6 @@ std::vector<size_t> ClusterRepresentatives(const std::vector<float>& points,
 /// Squared Euclidean distance between two dim-vectors.
 double SquaredDistance(const float* a, const float* b, size_t dim);
 
-/// Switches subsequent KMeans calls to the pre-refactor loop: restarts one
-/// after another, each computing every distance with one serial
-/// double-accumulation chain per centroid, instead of the bounded,
-/// register-blocked, fanned-out path. The two are bit-identical (cluster_test
-/// pins the equivalence), and the slow loop is kept so the serving benchmark
-/// can measure the optimizations' before/after and differential tests can
-/// cross-check. Process-wide; flip only between runs, not concurrently with
-/// them.
-void SetKMeansReferenceKernel(bool enable);
-bool KMeansReferenceKernelEnabled();
-
 }  // namespace subtab
 
 #endif  // SUBTAB_CLUSTER_KMEANS_H_

@@ -132,8 +132,8 @@ Selection SelectSubTable(const PreprocessedTable& pre, size_t k, size_t l,
     KMeansOptions opts;
     opts.k = k_eff;
     // Multiple k-means++ restarts, like the sklearn KMeans the paper uses
-    // (its default n_init is 10; 4 keeps our scalar kernel inside the
-    // paper's 1-5 s selection window).
+    // (its default n_init is 10). The count is part of every selection's
+    // identity: changing it changes which rows are served.
     opts.n_init = 4;
     opts.seed = seed ^ 0x517cc1b727220a95ULL;
     const std::vector<size_t> medoids =

@@ -109,11 +109,11 @@ class SubTab {
                                     std::optional<size_t> l = std::nullopt,
                                     std::optional<uint64_t> seed = std::nullopt) const;
 
-  /// Stage 1 of SelectForQuery: run the query's scan (optionally
-  /// chunk-parallel, see QueryExecOptions) and build the selection scope —
-  /// no clustering, no materialization of the intermediate result. Errors on
-  /// invalid queries and on empty results (an empty scope would mean "whole
-  /// table" to SelectScoped). Stage 2 is SelectScoped on the returned scope.
+  /// Stage 1 of SelectForQuery: run the query's scan (zone-map pruned, see
+  /// QueryExecOptions) and build the selection scope — no clustering, no
+  /// materialization of the intermediate result. Errors on invalid queries
+  /// and on empty results (an empty scope would mean "whole table" to
+  /// SelectScoped). Stage 2 is SelectScoped on the returned scope.
   /// A non-null `hint` switches the scan to the restricted path
   /// (RestrictQueryScope over the hint's parent rows); the resolved scope is
   /// bit-identical to the unhinted scan under the hint's contract. A

@@ -4,7 +4,6 @@
 #include <unordered_set>
 
 #include "subtab/util/logging.h"
-#include "subtab/util/parallel.h"
 #include "subtab/util/string_util.h"
 
 namespace subtab::service {
@@ -524,11 +523,7 @@ std::shared_future<SelectResponse> ServingEngine::SubmitSelect(
     pending->queue_span = trace.StartSpan("queue.scan");
   }
   pending->hop.Reset();
-  if (options_.staged_pipeline) {
-    pool_.Submit([this, pending] { ExecuteScan(pending); });
-  } else {
-    pool_.Submit([this, pending] { ExecuteBlocking(pending); });
-  }
+  pool_.Submit([this, pending] { ExecuteScan(pending); });
   return future;
 }
 
@@ -540,9 +535,6 @@ void ServingEngine::ExecuteScan(const std::shared_ptr<PendingSelect>& pending) {
   pending->trace.FinishSpan(std::move(pending->queue_span));
   TraceSpan span = pending->trace.StartSpan("scan");
   Stopwatch stage;
-  QueryExecOptions exec;
-  exec.num_threads = options_.scan_threads;
-  exec.zone_map_pruning = options_.zone_map_pruning;
   // Containment probe: a drill-down refinement of an already-resolved query
   // has a cached ancestor scope; restricting it visits O(parent scope) rows
   // instead of O(table). The hint never changes the resolved scope — see
@@ -560,25 +552,14 @@ void ServingEngine::ExecuteScan(const std::shared_ptr<PendingSelect>& pending) {
           ExtraConjuncts(ancestor->query, pending->request.query);
       // Benefit gate: the restricted scan point-evaluates rows (a per-row
       // chunk lookup, only the extra conjuncts), the full scan runs
-      // chunk-sequential and may fan out per chunk. An empty-extra
-      // restriction (same conjunction, e.g. a new seed) skips evaluation
-      // entirely and always wins; otherwise require the ancestor to (a)
-      // undercut the full scan's per-thread share and (b) actually shrink
-      // the row count by a margin (>= 1/8), so a near-table ancestor's
-      // point-lookup overhead can never make reuse slower than the scan it
-      // replaces. Tables under min_parallel_rows scan serially regardless
-      // (see EvalFilterMask).
-      size_t scan_ways = 1;
+      // chunk-sequential. An empty-extra restriction (same conjunction,
+      // e.g. a new seed) skips evaluation entirely and always wins;
+      // otherwise require the ancestor to actually shrink the row count by
+      // a margin (>= 1/8), so a near-table ancestor's point-lookup overhead
+      // can never make reuse slower than the scan it replaces.
       const size_t table_rows = pending->model->table().num_rows();
-      if (options_.scan_threads != 1 &&
-          table_rows >= QueryExecOptions{}.min_parallel_rows) {
-        scan_ways = options_.scan_threads == 0 ? HardwareThreads()
-                                               : options_.scan_threads;
-      }
       const size_t ancestor_rows = ancestor->rows->size();
-      if (extra.empty() ||
-          (ancestor_rows * scan_ways <= table_rows &&
-           ancestor_rows <= table_rows - table_rows / 8)) {
+      if (extra.empty() || ancestor_rows <= table_rows - table_rows / 8) {
         c_containment_hits_->Add();
         c_restricted_scan_rows_->Add(ancestor->rows->size());
         containment_attr = "hit";
@@ -598,7 +579,7 @@ void ServingEngine::ExecuteScan(const std::shared_ptr<PendingSelect>& pending) {
   if (!restricted) c_full_scan_rows_->Add(table_rows);
   ScanStats scan_stats;
   Result<SelectionScope> scope = pending->model->ResolveScope(
-      pending->request.query, exec, restricted ? &hint : nullptr, &scan_stats);
+      pending->request.query, {}, restricted ? &hint : nullptr, &scan_stats);
   c_scan_busy_ns_->Add(static_cast<uint64_t>(stage.ElapsedSeconds() * 1e9));
   h_scan_->Record(stage.ElapsedSeconds());
   c_rows_visited_->Add(scan_stats.rows_visited);
@@ -746,28 +727,6 @@ void ServingEngine::ExecuteSelect(const std::shared_ptr<PendingSelect>& pending)
   pending->trace.FinishSpan(std::move(span));
   CachedSelection outcome;
   outcome.view = std::make_shared<const SubTabView>(std::move(view));
-  FinishComputation(pending, outcome);
-}
-
-void ServingEngine::ExecuteBlocking(
-    const std::shared_ptr<PendingSelect>& pending) {
-  h_queue_scan_->Record(pending->hop.ElapsedSeconds());
-  LogTraceScope log_scope(pending->trace.trace_id());
-  pending->trace.FinishSpan(std::move(pending->queue_span));
-  TraceSpan span = pending->trace.StartSpan("execute");
-  const SelectRequest& request = pending->request;
-  Result<SubTabView> view = pending->model->SelectForQuery(
-      request.query, request.k, request.l, request.seed);
-  if (span.enabled()) {
-    span.AddAttr("status", view.ok() ? "ok" : "error");
-  }
-  pending->trace.FinishSpan(std::move(span));
-  CachedSelection outcome;
-  if (view.ok()) {
-    outcome.view = std::make_shared<const SubTabView>(std::move(*view));
-  } else {
-    outcome.status = view.status();
-  }
   FinishComputation(pending, outcome);
 }
 

@@ -42,10 +42,10 @@
 ///
 /// Requests flow through a staged pipeline: normalization and cache/dedup
 /// checks happen at submit, then the *scan* stage (ResolveScope — the
-/// query's filter scan, optionally fanned out per sealed chunk) and the
-/// *select* stage (SelectScoped — clustering) run as separate queue hops on
-/// the worker pool, so one request's scan overlaps another's selection and
-/// neither materializes the intermediate query result. Admission control
+/// query's zone-map-pruned filter scan) and the *select* stage
+/// (SelectScoped — clustering) run as separate queue hops on the worker
+/// pool, so one request's scan overlaps another's selection and neither
+/// materializes the intermediate query result. Admission control
 /// bounds what a single tenant (table id) may keep in flight and what the
 /// whole queue may hold; excess requests fail fast with kUnavailable
 /// instead of queueing unboundedly (EngineStats::pipeline counts sheds and
@@ -53,12 +53,12 @@
 ///
 /// Results are bit-identical to the serial SubTab::SelectForQuery path:
 /// ResolveScope + SelectScoped *is* that method split at its seam (see
-/// core/subtab.h), the chunk-parallel scan partitions rows without touching
-/// any row's verdict, and caching only memoizes a deterministic function of
-/// (model, query, k, l, seed). Containment reuse (the scope index in
-/// selection_cache.h) only changes where the scan LOOKS — a proven superset
-/// scope instead of the whole table — never what it finds: a drill-down
-/// refinement of an already-served query re-evaluates just its extra
+/// core/subtab.h), zone-map pruning skips only chunks that provably fail,
+/// and caching only memoizes a deterministic function of (model, query, k,
+/// l, seed). Containment reuse (the scope index in selection_cache.h) only
+/// changes where the scan LOOKS — a proven superset scope instead of the
+/// whole table — never what it finds: a drill-down refinement of an
+/// already-served query re-evaluates just its extra
 /// conjuncts over the parent's rows (RestrictQueryScope), shrinking the
 /// scan stage from O(table) to O(parent scope).
 ///
@@ -116,26 +116,6 @@ struct EngineOptions {
   size_t cache_shards = 8;
   /// Forwarded to ModelRegistryOptions::persist_dir.
   std::string persist_dir;
-  /// Staged pipeline (scan and select as separate queue hops) vs the
-  /// pre-refactor monolithic executor (one blocking SelectForQuery task per
-  /// request). The monolithic path is kept for differential testing and the
-  /// before/after throughput benchmark; both return bit-identical views.
-  bool staged_pipeline = true;
-  /// Chunk-parallel fan-out of one request's filter scan
-  /// (QueryExecOptions::num_threads): 1 = serial, 0 = HardwareThreads().
-  /// Parallel scans cut single-request latency when workers are idle; under
-  /// saturation the pipeline already fills every core. Fan-out spawns
-  /// short-lived threads per scan (util/parallel), amortized by
-  /// QueryExecOptions::min_parallel_rows — leave at 1 for small tables or
-  /// fully loaded engines.
-  size_t scan_threads = 1;
-  /// Zone-map pruning of the filter scan (QueryExecOptions::zone_map_pruning,
-  /// table/query.h): seal-time chunk statistics refute whole chunks before a
-  /// cell is read, and dictionary-column comparisons are resolved against
-  /// the dictionary once and evaluated over integer codes. Bit-identical
-  /// either way; off = every scan walks every chunk (kept for differential
-  /// testing and the BENCH_serving scan_pruning phase).
-  bool zone_map_pruning = true;
   /// Admission control: maximum computations one tenant (table id) may have
   /// admitted (queued or running; cache hits and coalesced attaches are
   /// free) before further ones are shed with kUnavailable. 0 = unbounded.
@@ -520,13 +500,10 @@ class ServingEngine {
   Admission TryAdmit(const std::string& tenant);
   void ReleaseTenant(const std::string& tenant);
 
-  /// Pipeline stage 2: the query's filter scan (chunk-parallel per
-  /// options_.scan_threads); enqueues the select stage.
+  /// Pipeline stage 2: the query's filter scan; enqueues the select stage.
   void ExecuteScan(const std::shared_ptr<PendingSelect>& pending);
   /// Pipeline stage 3: clustering over the resolved scope.
   void ExecuteSelect(const std::shared_ptr<PendingSelect>& pending);
-  /// The pre-refactor monolithic executor: scan + select in one task.
-  void ExecuteBlocking(const std::shared_ptr<PendingSelect>& pending);
   /// Shared tail: memoize, resolve every waiter, release admission.
   void FinishComputation(const std::shared_ptr<PendingSelect>& pending,
                          const CachedSelection& outcome);

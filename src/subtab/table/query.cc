@@ -10,7 +10,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "subtab/util/parallel.h"
 #include "subtab/util/string_util.h"
 
 namespace subtab {
@@ -99,7 +98,7 @@ std::string SpQuery::ToString() const {
 namespace {
 
 /// A predicate with its column resolved and type-checked — validation
-/// happens once, serially, so the sharded scan below cannot fail mid-flight.
+/// happens once, before the row loop, so the scan cannot fail mid-flight.
 /// For value comparisons on dictionary columns, binding also resolves the
 /// comparison against the dictionary ONCE (code_verdict), so the row loop
 /// compares integer codes instead of materializing strings.
@@ -248,70 +247,6 @@ bool ZoneRefutes(const BoundPredicate& bound, const Chunk& chunk) {
   }
 }
 
-/// Shard boundaries for the filter scan: aligned to the sealed-chunk edges
-/// of the filtered column with the most chunks (a streaming snapshot holds
-/// one chunk per appended batch), coalesced toward `num_shards` roughly
-/// row-balanced groups; an unchunked table falls back to an even row split.
-/// Boundaries only partition the row space — they never affect any row's
-/// verdict — so every sharding yields the same mask.
-std::vector<size_t> ScanShardBoundaries(
-    const std::vector<BoundPredicate>& preds, size_t num_rows,
-    size_t num_shards) {
-  const Column* most_chunked = nullptr;
-  for (const BoundPredicate& bound : preds) {
-    if (most_chunked == nullptr ||
-        bound.col->chunks().size() > most_chunked->chunks().size()) {
-      most_chunked = bound.col;
-    }
-  }
-  std::vector<size_t> edges;
-  if (most_chunked != nullptr && most_chunked->chunks().size() > 1) {
-    for (size_t i = 0; i < most_chunked->chunks().size(); ++i) {
-      edges.push_back(most_chunked->chunk_offset(i));
-    }
-  } else {
-    for (size_t s = 0; s < num_shards; ++s) {
-      edges.push_back(s * num_rows / num_shards);
-    }
-  }
-  edges.push_back(num_rows);
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-
-  // Coalesce consecutive edges into at most num_shards row-balanced groups.
-  std::vector<size_t> bounds;
-  const size_t target = (num_rows + num_shards - 1) / num_shards;
-  size_t group_begin = edges.front();
-  bounds.push_back(group_begin);
-  for (size_t i = 1; i + 1 < edges.size(); ++i) {
-    if (edges[i] - group_begin >= target) {
-      bounds.push_back(edges[i]);
-      group_begin = edges[i];
-    }
-  }
-  bounds.push_back(num_rows);
-
-  // Coalescing can only MERGE chunk edges, never split them, so one
-  // dominant sealed chunk (a huge base table plus a few streamed batches)
-  // would collapse the scan to ~serial. Subdivide any group wider than the
-  // row-balanced target at row granularity — VisitRows handles arbitrary
-  // ranges, and boundaries never affect a row's verdict.
-  std::vector<size_t> split;
-  split.reserve(bounds.size());
-  split.push_back(bounds.front());
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    const size_t begin = bounds[i - 1];
-    const size_t width = bounds[i] - begin;
-    if (width > target) {
-      const size_t pieces = (width + target - 1) / target;
-      for (size_t p = 1; p < pieces; ++p) {
-        split.push_back(begin + p * width / pieces);
-      }
-    }
-    split.push_back(bounds[i]);
-  }
-  return split;
-}
-
 /// Point evaluation of one bound predicate at a single row — the restricted
 /// scan's inner loop (parent rows are sparse, so chunk-sequential visiting
 /// buys nothing, but the row->chunk lookup must still happen only ONCE per
@@ -380,26 +315,6 @@ struct FilterMask {
   size_t rows_pruned = 0;
   size_t code_eval_predicates = 0;
 };
-
-/// Splits the surviving ranges into ~num_shards row-balanced pieces, each
-/// inside one surviving range, so the parallel scan never touches a pruned
-/// row. The pruning-on analogue of ScanShardBoundaries' subdivision step.
-std::vector<std::pair<size_t, size_t>> ShardSurvivingRanges(
-    const std::vector<std::pair<size_t, size_t>>& ranges, size_t num_shards) {
-  size_t total = 0;
-  for (const auto& r : ranges) total += r.second - r.first;
-  const size_t target = (total + num_shards - 1) / num_shards;
-  std::vector<std::pair<size_t, size_t>> shards;
-  for (const auto& r : ranges) {
-    const size_t width = r.second - r.first;
-    const size_t pieces = target == 0 ? 1 : (width + target - 1) / target;
-    for (size_t p = 0; p < pieces; ++p) {
-      shards.emplace_back(r.first + p * width / pieces,
-                          r.first + (p + 1) * width / pieces);
-    }
-  }
-  return shards;
-}
 
 Result<FilterMask> EvalFilterMask(const Table& table,
                                   const std::vector<Predicate>& filters,
@@ -473,8 +388,8 @@ Result<FilterMask> EvalFilterMask(const Table& table,
     }
   }
 
-  // Surviving ranges: the complement of the refuted set. Evaluation — and
-  // sharding — happens over these only; pruned rows are never revisited.
+  // Surviving ranges: the complement of the refuted set. Evaluation happens
+  // over these only; pruned rows are never revisited.
   out.survive.clear();
   size_t cursor = 0;
   for (const auto& r : merged) {
@@ -482,58 +397,16 @@ Result<FilterMask> EvalFilterMask(const Table& table,
     cursor = r.second;
   }
   if (cursor < n) out.survive.emplace_back(cursor, n);
-  const size_t surviving_rows = n - out.rows_pruned;
-  if (surviving_rows == 0) return out;
-
-  size_t threads = exec.num_threads == 0 ? HardwareThreads() : exec.num_threads;
-  if (surviving_rows < exec.min_parallel_rows) threads = 1;
-  if (threads <= 1) {
-    for (const auto& range : out.survive) {
-      for (size_t i = 0; i < bound.size(); ++i) {
-        EvalPredicateRange(bound[i], range.first, range.second,
-                           /*first=*/i == 0, out.keep.data());
-      }
-    }
-    return out;
-  }
-
-  if (merged.empty()) {
-    // Nothing pruned: keep the chunk-edge-aligned sharding (cache-friendly
-    // and pinned by query_test via ScanShardBoundariesForQuery).
-    const std::vector<size_t> bounds = ScanShardBoundaries(bound, n, threads);
-    ParallelForEach(bounds.size() - 1, threads, [&](size_t s) {
-      for (size_t i = 0; i < bound.size(); ++i) {
-        EvalPredicateRange(bound[i], bounds[s], bounds[s + 1], i == 0,
-                           out.keep.data());
-      }
-    });
-    return out;
-  }
-  const std::vector<std::pair<size_t, size_t>> shards =
-      ShardSurvivingRanges(out.survive, threads);
-  ParallelForEach(shards.size(), threads, [&](size_t s) {
+  for (const auto& range : out.survive) {
     for (size_t i = 0; i < bound.size(); ++i) {
-      EvalPredicateRange(bound[i], shards[s].first, shards[s].second, i == 0,
-                         out.keep.data());
+      EvalPredicateRange(bound[i], range.first, range.second,
+                         /*first=*/i == 0, out.keep.data());
     }
-  });
+  }
   return out;
 }
 
 }  // namespace
-
-Result<std::vector<size_t>> ScanShardBoundariesForQuery(const Table& table,
-                                                        const SpQuery& query,
-                                                        size_t num_shards) {
-  std::vector<BoundPredicate> bound;
-  bound.reserve(query.filters.size());
-  for (const Predicate& pred : query.filters) {
-    SUBTAB_ASSIGN_OR_RETURN(BoundPredicate b, BindPredicate(table, pred));
-    bound.push_back(b);
-  }
-  if (num_shards == 0) num_shards = 1;
-  return ScanShardBoundaries(bound, table.num_rows(), num_shards);
-}
 
 Result<QueryScope> ResolveQueryScope(const Table& table, const SpQuery& query,
                                      const QueryExecOptions& exec) {

@@ -58,17 +58,8 @@ struct QueryResult {
   std::vector<size_t> col_ids;  ///< Result col -> source col index.
 };
 
-/// Execution knobs of one scan. Results are bit-identical for every setting:
-/// parallelism only changes which thread evaluates which rows, never any
-/// row's verdict or the output order.
+/// Execution knobs of one scan. Results are bit-identical for every setting.
 struct QueryExecOptions {
-  /// Threads fanning the filter scan out over sealed chunks (util/parallel's
-  /// ParallelForEach; streaming snapshots accumulate one chunk per appended
-  /// batch). 1 = serial; 0 = HardwareThreads().
-  size_t num_threads = 1;
-  /// Below this many surviving (unpruned) rows the scan stays serial even
-  /// when num_threads > 1 — spawning threads costs more than the scan itself.
-  size_t min_parallel_rows = 16384;
   /// Consult seal-time chunk statistics (zone maps, chunk.h ChunkStats) to
   /// skip whole chunks a conjunct provably cannot match, and resolve
   /// categorical comparisons against the dictionary once so rows are judged
@@ -119,20 +110,6 @@ struct QueryScope {
 /// returns provenance ids only. RunQuery == ResolveQueryScope + SubTable.
 Result<QueryScope> ResolveQueryScope(const Table& table, const SpQuery& query,
                                      const QueryExecOptions& exec = {});
-
-/// Introspection/test hook: the row boundaries the chunk-parallel filter
-/// scan would shard `query` into over `table` (bounds.front() == 0,
-/// bounds.back() == num_rows; each consecutive pair is one shard). Shards
-/// align to sealed-chunk edges where possible, but any group wider than
-/// ceil(num_rows / num_shards) is subdivided at row granularity, so a
-/// dominant sealed chunk cannot collapse the fan-out to ~serial. Boundaries
-/// only partition the row space — they never change a row's verdict. This
-/// hook describes the pruning-off layout; when zone maps prune chunks, the
-/// scan shards over the surviving row ranges only (same row-balanced target,
-/// pruned ranges excluded).
-Result<std::vector<size_t>> ScanShardBoundariesForQuery(const Table& table,
-                                                        const SpQuery& query,
-                                                        size_t num_shards);
 
 /// True iff the two predicates are the same conjunct for caching/containment
 /// purposes: same column, op, literal type, and literal — numeric literals

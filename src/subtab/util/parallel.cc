@@ -32,23 +32,4 @@ void ParallelFor(size_t total, size_t num_threads,
   for (auto& w : workers) w.join();
 }
 
-void ParallelForEach(size_t count, size_t num_threads,
-                     const std::function<void(size_t)>& body) {
-  if (count == 0) return;
-  if (num_threads == 0) num_threads = HardwareThreads();
-  num_threads = std::min(num_threads, count);
-  if (num_threads <= 1) {
-    for (size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  std::vector<std::thread> workers;
-  workers.reserve(num_threads);
-  for (size_t t = 0; t < num_threads; ++t) {
-    workers.emplace_back([&body, t, count, num_threads] {
-      for (size_t i = t; i < count; i += num_threads) body(i);
-    });
-  }
-  for (auto& w : workers) w.join();
-}
-
 }  // namespace subtab

@@ -5,7 +5,7 @@
 #include <functional>
 
 /// \file parallel.h
-/// Static-partition parallel-for used by the embedding trainer and k-means.
+/// Static-partition parallel-for used by the embedding trainer.
 /// Work is split into `num_threads` contiguous shards so that each shard can
 /// own an independent RNG stream, keeping runs reproducible for a fixed
 /// thread count (and exactly reproducible with num_threads == 1).
@@ -19,17 +19,6 @@ size_t HardwareThreads();
 /// [0, total). A num_threads of 0 means HardwareThreads(); 1 runs inline.
 void ParallelFor(size_t total, size_t num_threads,
                  const std::function<void(size_t shard, size_t begin, size_t end)>& body);
-
-/// Runs body(i) for every i in [0, count) across up to `num_threads` threads
-/// (0 = HardwareThreads(); <= 1, or count <= 1, runs inline). Tasks are dealt
-/// statically round-robin, so the mapping of task to thread is deterministic
-/// for a fixed thread count. Unlike ParallelFor's contiguous even shards,
-/// this is for *irregular* units — e.g. one task per sealed chunk of a
-/// column, where chunk sizes differ by orders of magnitude (a streaming
-/// table's base chunk vs its per-batch chunks); round-robin keeps every
-/// thread busy without an up-front size model.
-void ParallelForEach(size_t count, size_t num_threads,
-                     const std::function<void(size_t i)>& body);
 
 }  // namespace subtab
 

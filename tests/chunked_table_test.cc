@@ -214,20 +214,14 @@ TEST(ChunkedTableTest, TokenizationsAndSelectionsBitIdentical) {
   EXPECT_EQ(q_flat->col_ids, q_chunked->col_ids);
   EXPECT_EQ(q_flat->table.ToString(99), q_chunked->table.ToString(99));
 
-  // The staged pipeline's scan stage — chunk-parallel ResolveScope — feeds
-  // SelectScoped bit-identically to the one-shot SelectForQuery above, on
-  // both layouts and across thread counts.
-  for (size_t threads : {size_t{2}, size_t{5}}) {
-    QueryExecOptions exec;
-    exec.num_threads = threads;
-    exec.min_parallel_rows = 1;
-    for (const SubTab* fit : {&*fit_flat, &*fit_chunked}) {
-      Result<SelectionScope> scope = fit->ResolveScope(query, exec);
-      ASSERT_TRUE(scope.ok());
-      const SubTabView staged = fit->SelectScoped(*scope, config.k, config.l);
-      EXPECT_EQ(staged.row_ids, q_flat->row_ids) << "threads=" << threads;
-      EXPECT_EQ(staged.col_ids, q_flat->col_ids);
-    }
+  // The staged pipeline's scan stage — ResolveScope — feeds SelectScoped
+  // bit-identically to the one-shot SelectForQuery above, on both layouts.
+  for (const SubTab* fit : {&*fit_flat, &*fit_chunked}) {
+    Result<SelectionScope> scope = fit->ResolveScope(query);
+    ASSERT_TRUE(scope.ok());
+    const SubTabView staged = fit->SelectScoped(*scope, config.k, config.l);
+    EXPECT_EQ(staged.row_ids, q_flat->row_ids);
+    EXPECT_EQ(staged.col_ids, q_flat->col_ids);
   }
 }
 

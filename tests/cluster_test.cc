@@ -8,6 +8,7 @@
 #include <limits>
 #include <new>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "subtab/binning/binned_table.h"
@@ -19,7 +20,10 @@
 
 // Counts operator-new calls made by threads other than the one that set
 // g_alloc_owner, while g_alloc_owner is set: KMeans's restart helpers must
-// run without allocating.
+// run without allocating. Every replaceable form of new/delete is routed
+// through the counted operator new and std::free, so no allocation made by
+// the runtime's own operator new (e.g. std::stable_sort's nothrow buffer)
+// is ever released by ours.
 namespace {
 std::atomic<bool> g_count_foreign_allocs{false};
 std::atomic<std::thread::id> g_alloc_owner{};
@@ -34,8 +38,25 @@ void* operator new(size_t size) {
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
+void* operator new[](size_t size) { return operator new(size); }
+void* operator new(size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return operator new(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace subtab {
 namespace {
@@ -205,43 +226,6 @@ TEST(MedoidTest, KEqualsNReturnsEveryPoint) {
   EXPECT_EQ(medoids, (std::vector<size_t>{0, 1, 2}));
 }
 
-TEST(KMeansTest, BlockedKernelBitIdenticalToReferenceKernel) {
-  // The register-blocked assignment kernel must reproduce the pre-refactor
-  // one-chain-per-centroid loop EXACTLY: centroids, assignments, inertia,
-  // iteration counts, and medoids, across dimensions that exercise the
-  // 8-wide, 4-wide, and scalar-tail block paths and k values around the
-  // block boundaries (including duplicate points, which force distance
-  // ties). This is the bit-identical-selections guarantee at its root.
-  for (size_t dim : {1u, 3u, 8u, 13u, 32u}) {
-    for (size_t k : {1u, 4u, 7u, 8u, 9u, 16u}) {
-      std::vector<float> points = Blobs(4, 30, dim, 1000 + dim * 31 + k);
-      // Duplicate a run of points to create exact ties.
-      points.insert(points.end(), points.begin(),
-                    points.begin() + static_cast<long>(8 * dim));
-      KMeansOptions options;
-      options.k = k;
-      options.n_init = 2;
-      options.seed = 91 + k;
-
-      SetKMeansReferenceKernel(true);
-      const KMeansResult reference = KMeans(points, dim, options);
-      const std::vector<size_t> reference_medoids =
-          SelectMedoids(points, dim, reference);
-      SetKMeansReferenceKernel(false);
-      const KMeansResult blocked = KMeans(points, dim, options);
-      const std::vector<size_t> blocked_medoids =
-          SelectMedoids(points, dim, blocked);
-
-      ASSERT_EQ(blocked.assignment, reference.assignment)
-          << "dim=" << dim << " k=" << k;
-      ASSERT_EQ(blocked.centroids, reference.centroids);
-      ASSERT_EQ(blocked.inertia, reference.inertia);  // Bitwise, not approx.
-      ASSERT_EQ(blocked.iterations, reference.iterations);
-      ASSERT_EQ(blocked_medoids, reference_medoids);
-    }
-  }
-}
-
 // ---- Differential: bounded + fanned-out KMeans vs a plain serial Lloyd. ----
 
 /// The plain algorithm KMeans must reproduce bit for bit: restarts one after
@@ -386,6 +370,28 @@ void ExpectMatchesOracle(const std::vector<float>& points, size_t dim,
   ASSERT_EQ(got.iterations, oracle.iterations) << label;
   ASSERT_EQ(SelectMedoids(points, dim, got), OracleMedoids(points, dim, oracle))
       << label;
+}
+
+TEST(KMeansDifferentialTest, BlockedKernelBitIdenticalAcrossBlockShapes) {
+  // Dimensions that exercise the register-blocked kernel's 8-wide, 4-wide,
+  // and scalar-tail paths and k values around the block boundaries, with
+  // duplicate points to force distance ties. This is the
+  // bit-identical-selections guarantee at its root.
+  for (size_t dim : {1u, 3u, 8u, 13u, 32u}) {
+    for (size_t k : {1u, 4u, 7u, 8u, 9u, 16u}) {
+      std::vector<float> points = Blobs(4, 30, dim, 1000 + dim * 31 + k);
+      // Duplicate a run of points to create exact ties.
+      points.insert(points.end(), points.begin(),
+                    points.begin() + static_cast<long>(8 * dim));
+      KMeansOptions options;
+      options.k = k;
+      options.n_init = 2;
+      options.seed = 91 + k;
+      ExpectMatchesOracle(points, dim, options,
+                          "dim=" + std::to_string(dim) +
+                              " k=" + std::to_string(k));
+    }
+  }
 }
 
 /// Row matrices as the select stage builds them: a forge table, binned, a

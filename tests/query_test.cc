@@ -1,6 +1,6 @@
 // Unit tests for the SP query engine and group-by aggregates, including the
-// differential suite for the chunk-parallel scan (ResolveQueryScope must be
-// bit-identical across thread counts and chunk layouts).
+// differential suite for chunked scans (ResolveQueryScope must be
+// bit-identical across chunk layouts).
 
 #include <gtest/gtest.h>
 
@@ -260,10 +260,10 @@ TEST(GroupByTest, UnknownColumnsError) {
   EXPECT_FALSE(RunGroupBy(t, g).ok());
 }
 
-// --------------------------------------------------- Parallel chunk scans --
+// ------------------------------------------------------------ Chunk scans --
 
 /// A randomized table with nulls in both column types, rechunked into small
-/// chunks so multi-chunk sharding actually engages.
+/// chunks so multi-chunk scans and zone-map pruning actually engage.
 Table RandomChunkedTable(size_t rows, size_t max_chunk_rows, std::mt19937* rng) {
   std::uniform_real_distribution<double> num(-50.0, 50.0);
   std::uniform_int_distribution<int> cat(0, 5);
@@ -282,8 +282,7 @@ Table RandomChunkedTable(size_t rows, size_t max_chunk_rows, std::mt19937* rng) 
   return t->Rechunked(max_chunk_rows);
 }
 
-TEST(ParallelScanTest, BitIdenticalAcrossThreadCountsAndLayouts) {
-  std::mt19937 rng(20260731);
+TEST(ChunkScanTest, BitIdenticalAcrossLayouts) {
   std::vector<SpQuery> queries;
   {
     SpQuery q;  // Conjunction over both types.
@@ -307,106 +306,32 @@ TEST(ParallelScanTest, BitIdenticalAcrossThreadCountsAndLayouts) {
     queries.push_back(q);
   }
 
+  // Every layout holds the same rows (same generator seed), so each must
+  // answer every query exactly as the unchunked table does.
+  const auto layout = [](size_t chunk_rows) {
+    std::mt19937 rng(20260731);
+    return RandomChunkedTable(500, chunk_rows, &rng);
+  };
+  const Table unchunked = layout(0);
   for (size_t chunk_rows : {size_t{0}, size_t{7}, size_t{64}}) {
-    Table t = RandomChunkedTable(500, chunk_rows, &rng);
+    Table t = layout(chunk_rows);
     for (const SpQuery& q : queries) {
-      Result<QueryResult> serial = RunQuery(t, q);
-      ASSERT_TRUE(serial.ok());
-      for (size_t threads : {size_t{2}, size_t{3}, size_t{8}, size_t{0}}) {
-        QueryExecOptions exec;
-        exec.num_threads = threads;
-        exec.min_parallel_rows = 1;  // Force the sharded path.
-        Result<QueryScope> scope = ResolveQueryScope(t, q, exec);
-        ASSERT_TRUE(scope.ok());
-        EXPECT_EQ(scope->row_ids, serial->row_ids)
-            << "chunk_rows=" << chunk_rows << " threads=" << threads;
-        EXPECT_EQ(scope->col_ids, serial->col_ids);
-        Result<QueryResult> parallel = RunQuery(t, q, exec);
-        ASSERT_TRUE(parallel.ok());
-        EXPECT_EQ(parallel->row_ids, serial->row_ids);
-        EXPECT_EQ(parallel->table.ToString(99), serial->table.ToString(99));
-      }
+      Result<QueryResult> expected = RunQuery(unchunked, q);
+      ASSERT_TRUE(expected.ok());
+      Result<QueryScope> scope = ResolveQueryScope(t, q);
+      ASSERT_TRUE(scope.ok());
+      EXPECT_EQ(scope->row_ids, expected->row_ids)
+          << "chunk_rows=" << chunk_rows << " query=" << q.ToString();
+      EXPECT_EQ(scope->col_ids, expected->col_ids);
+      Result<QueryResult> result = RunQuery(t, q);
+      ASSERT_TRUE(result.ok());
+      EXPECT_EQ(result->row_ids, expected->row_ids);
+      EXPECT_EQ(result->table.ToString(99), expected->table.ToString(99));
     }
   }
 }
 
-TEST(ParallelScanTest, SingleChunkTableShardsIntoNumShards) {
-  // Regression: a 1-chunk 100k-row table must fan out into num_shards
-  // row-balanced shards (the even-split fallback), and stay bit-identical
-  // to the serial scan.
-  const size_t n = 100000;
-  std::vector<double> a;
-  a.reserve(n);
-  for (size_t i = 0; i < n; ++i) a.push_back(static_cast<double>(i % 997));
-  Result<Table> t = Table::Make({Column::Numeric("a", a)});
-  ASSERT_TRUE(t.ok());
-  ASSERT_EQ(t->column(size_t{0}).chunks().size(), 1u);
-
-  SpQuery q;
-  q.filters = {Predicate::Num("a", CmpOp::kLt, 500.0)};
-  const size_t num_shards = 8;
-  Result<std::vector<size_t>> bounds =
-      ScanShardBoundariesForQuery(*t, q, num_shards);
-  ASSERT_TRUE(bounds.ok());
-  ASSERT_EQ(bounds->size(), num_shards + 1);  // Exactly num_shards groups.
-  EXPECT_EQ(bounds->front(), 0u);
-  EXPECT_EQ(bounds->back(), n);
-  const size_t target = (n + num_shards - 1) / num_shards;
-  for (size_t i = 1; i < bounds->size(); ++i) {
-    EXPECT_GT((*bounds)[i], (*bounds)[i - 1]);
-    EXPECT_LE((*bounds)[i] - (*bounds)[i - 1], target);
-  }
-
-  Result<QueryScope> serial = ResolveQueryScope(*t, q);
-  QueryExecOptions exec;
-  exec.num_threads = num_shards;
-  exec.min_parallel_rows = 1;
-  Result<QueryScope> parallel = ResolveQueryScope(*t, q, exec);
-  ASSERT_TRUE(serial.ok() && parallel.ok());
-  EXPECT_EQ(parallel->row_ids, serial->row_ids);
-  EXPECT_EQ(parallel->col_ids, serial->col_ids);
-}
-
-TEST(ParallelScanTest, DominantChunkIsSubdividedNotSerial) {
-  // Regression for the merge-only degeneration: chunk-edge coalescing could
-  // never SPLIT a group, so one dominant sealed chunk collapsed the scan to
-  // ~serial. A 60k+40k chunk layout at 8 shards used to produce 2 groups;
-  // subdivision must restore >= num_shards groups, none wider than the
-  // row-balanced target.
-  const size_t n = 100000;
-  std::vector<double> a;
-  a.reserve(n);
-  for (size_t i = 0; i < n; ++i) a.push_back(static_cast<double>(i % 811));
-  Result<Table> made = Table::Make({Column::Numeric("a", a)});
-  ASSERT_TRUE(made.ok());
-  Table t = made->Rechunked(60000);  // Chunks: 60000 + 40000 rows.
-  ASSERT_GE(t.column(size_t{0}).chunks().size(), 2u);
-
-  SpQuery q;
-  q.filters = {Predicate::Num("a", CmpOp::kGe, 100.0)};
-  const size_t num_shards = 8;
-  Result<std::vector<size_t>> bounds =
-      ScanShardBoundariesForQuery(t, q, num_shards);
-  ASSERT_TRUE(bounds.ok());
-  const size_t target = (n + num_shards - 1) / num_shards;
-  EXPECT_GE(bounds->size(), num_shards + 1);
-  EXPECT_EQ(bounds->front(), 0u);
-  EXPECT_EQ(bounds->back(), n);
-  for (size_t i = 1; i < bounds->size(); ++i) {
-    EXPECT_GT((*bounds)[i], (*bounds)[i - 1]);
-    EXPECT_LE((*bounds)[i] - (*bounds)[i - 1], target);
-  }
-
-  Result<QueryScope> serial = ResolveQueryScope(t, q);
-  QueryExecOptions exec;
-  exec.num_threads = num_shards;
-  exec.min_parallel_rows = 1;
-  Result<QueryScope> parallel = ResolveQueryScope(t, q, exec);
-  ASSERT_TRUE(serial.ok() && parallel.ok());
-  EXPECT_EQ(parallel->row_ids, serial->row_ids);
-}
-
-TEST(ParallelScanTest, ScopeMatchesRunQueryProvenance) {
+TEST(ChunkScanTest, ScopeMatchesRunQueryProvenance) {
   Table t = FlightsMini();
   SpQuery q;
   q.filters = {Predicate::Num("distance", CmpOp::kGe, 400.0)};
@@ -418,17 +343,16 @@ TEST(ParallelScanTest, ScopeMatchesRunQueryProvenance) {
   EXPECT_EQ(scope->col_ids, full->col_ids);
 }
 
-TEST(ParallelScanTest, ErrorsMatchSerialErrors) {
+TEST(ChunkScanTest, ErrorsMatchSerialErrors) {
   Table t = FlightsMini();
-  QueryExecOptions exec;
-  exec.num_threads = 4;
-  exec.min_parallel_rows = 1;
   SpQuery unknown;
   unknown.filters = {Predicate::Num("nope", CmpOp::kGe, 0.0)};
-  EXPECT_FALSE(ResolveQueryScope(t, unknown, exec).ok());
+  EXPECT_FALSE(ResolveQueryScope(t, unknown).ok());
+  EXPECT_FALSE(RunQuery(t, unknown).ok());
   SpQuery mismatch;
   mismatch.filters = {Predicate::Str("distance", CmpOp::kEq, "x")};
-  EXPECT_FALSE(ResolveQueryScope(t, mismatch, exec).ok());
+  EXPECT_FALSE(ResolveQueryScope(t, mismatch).ok());
+  EXPECT_FALSE(RunQuery(t, mismatch).ok());
 }
 
 // ------------------------------------------------- Containment reasoning --

@@ -437,25 +437,17 @@ TEST(EngineTest, RegistryReusedAcrossTableIds) {
   EXPECT_EQ(engine.Stats().tables, 2u);
 }
 
-TEST(EngineTest, StagedPipelineMatchesBlockingExecutorAndSerial) {
-  // The same request stream through (a) the staged pipeline with a
-  // chunk-parallel scan, (b) the pre-refactor monolithic executor, and
-  // (c) the serial SubTab path must produce bit-identical selections.
-  Table table = TinyTable().Rechunked(13);  // Multi-chunk so sharding engages.
-  EngineOptions staged_options;
-  staged_options.num_threads = 4;
-  staged_options.scan_threads = 2;
-  ServingEngine staged(staged_options);
-  EngineOptions blocking_options;
-  blocking_options.num_threads = 4;
-  blocking_options.staged_pipeline = false;
-  ServingEngine blocking(blocking_options);
+TEST(EngineTest, StagedPipelineMatchesSerial) {
+  // The same request stream through the staged pipeline and the serial
+  // SubTab path must produce bit-identical selections.
+  Table table = TinyTable().Rechunked(13);  // Multi-chunk, so pruning engages.
+  EngineOptions options;
+  options.num_threads = 4;
+  ServingEngine staged(options);
   ASSERT_TRUE(staged.RegisterTable("t", table, TinyConfig()).ok());
-  ASSERT_TRUE(blocking.RegisterTable("t", table, TinyConfig()).ok());
   std::shared_ptr<const SubTab> model = staged.GetModel("t");
 
-  std::vector<std::shared_future<SelectResponse>> staged_futures;
-  std::vector<std::shared_future<SelectResponse>> blocking_futures;
+  std::vector<std::shared_future<SelectResponse>> futures;
   std::vector<SelectRequest> requests;
   for (int i = 0; i < 12; ++i) {
     SelectRequest request;
@@ -464,18 +456,14 @@ TEST(EngineTest, StagedPipelineMatchesBlockingExecutorAndSerial) {
     requests.push_back(request);
   }
   for (const SelectRequest& request : requests) {
-    staged_futures.push_back(staged.SubmitSelect(request));
-    blocking_futures.push_back(blocking.SubmitSelect(request));
+    futures.push_back(staged.SubmitSelect(request));
   }
   for (size_t i = 0; i < requests.size(); ++i) {
-    SelectResponse a = staged_futures[i].get();
-    SelectResponse b = blocking_futures[i].get();
+    SelectResponse response = futures[i].get();
     Result<SubTabView> serial = model->SelectForQuery(requests[i].query);
-    ASSERT_TRUE(a.status.ok() && b.status.ok() && serial.ok());
-    EXPECT_EQ(a.view->row_ids, serial->row_ids);
-    EXPECT_EQ(a.view->col_ids, serial->col_ids);
-    EXPECT_EQ(b.view->row_ids, serial->row_ids);
-    EXPECT_EQ(b.view->col_ids, serial->col_ids);
+    ASSERT_TRUE(response.status.ok() && serial.ok());
+    EXPECT_EQ(response.view->row_ids, serial->row_ids);
+    EXPECT_EQ(response.view->col_ids, serial->col_ids);
   }
   // Per-stage accounting ran: both stages saw wall time, every request got
   // a latency sample.

@@ -402,22 +402,6 @@ TEST(ParallelTest, MoreThreadsThanWork) {
 
 TEST(ParallelTest, HardwareThreadsPositive) { EXPECT_GE(HardwareThreads(), 1u); }
 
-TEST(ParallelTest, ForEachCoversEveryIndexExactlyOnce) {
-  for (size_t threads : {size_t{1}, size_t{3}, size_t{8}, size_t{0}}) {
-    std::vector<std::atomic<int>> hits(37);
-    ParallelForEach(hits.size(), threads,
-                    [&](size_t i) { hits[i].fetch_add(1); });
-    for (size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i].load(), 1);
-  }
-  // More threads than tasks, and the empty range.
-  std::atomic<int> count{0};
-  ParallelForEach(2, 16, [&](size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 2);
-  bool called = false;
-  ParallelForEach(0, 4, [&](size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST(LatencyHistogramTest, PercentilesBracketRecordedLatencies) {
   LatencyHistogram hist;
   // 90 fast (~1 ms) and 10 slow (~400 ms) samples.

@@ -1,8 +1,8 @@
 // Zone-map pruning and dictionary-code predicate evaluation
 // (table/chunk.h ChunkStats + table/query.cc ZoneRefutes/code_verdict).
 // The contract under test is bit-identity: pruning on and off must produce
-// identical scopes over every chunk layout, thread count, query shape, and
-// stream append — pruning may only skip rows a conjunct provably fails.
+// identical scopes over every chunk layout, query shape, and stream
+// append — pruning may only skip rows a conjunct provably fails.
 
 #include <gtest/gtest.h>
 
@@ -19,16 +19,14 @@
 namespace subtab {
 namespace {
 
-QueryExecOptions PruningOn(size_t threads = 1) {
+QueryExecOptions PruningOn() {
   QueryExecOptions exec;
-  exec.num_threads = threads;
-  exec.min_parallel_rows = 1;
   exec.zone_map_pruning = true;
   return exec;
 }
 
-QueryExecOptions PruningOff(size_t threads = 1) {
-  QueryExecOptions exec = PruningOn(threads);
+QueryExecOptions PruningOff() {
+  QueryExecOptions exec;
   exec.zone_map_pruning = false;
   return exec;
 }
@@ -37,16 +35,12 @@ QueryExecOptions PruningOff(size_t threads = 1) {
 /// cols, order) and returns the pruned scan's stats for further checks.
 ScanStats ExpectBitIdentical(const Table& table, const SpQuery& query) {
   Result<QueryScope> off = ResolveQueryScope(table, query, PruningOff());
-  ScanStats stats;
-  for (const size_t threads : {size_t{1}, size_t{3}}) {
-    Result<QueryScope> on = ResolveQueryScope(table, query, PruningOn(threads));
-    EXPECT_EQ(on.ok(), off.ok()) << query.ToString();
-    if (!on.ok() || !off.ok()) continue;
-    EXPECT_EQ(on->row_ids, off->row_ids) << query.ToString();
-    EXPECT_EQ(on->col_ids, off->col_ids) << query.ToString();
-    if (threads == 1) stats = on->stats;
-  }
-  return stats;
+  Result<QueryScope> on = ResolveQueryScope(table, query, PruningOn());
+  EXPECT_EQ(on.ok(), off.ok()) << query.ToString();
+  if (!on.ok() || !off.ok()) return ScanStats{};
+  EXPECT_EQ(on->row_ids, off->row_ids) << query.ToString();
+  EXPECT_EQ(on->col_ids, off->col_ids) << query.ToString();
+  return on->stats;
 }
 
 // ---- Seal-time stats correctness -----------------------------------------
@@ -381,15 +375,13 @@ TEST(ZoneMapTest, ConcurrentScansVsStreamAppends) {
       q.filters = {Predicate::Num("ts", CmpOp::kGe, 100.0 * (r + 1)),
                    Predicate::Num("ts", CmpOp::kLt, 100.0 * (r + 2))};
       while (!done.load(std::memory_order_acquire)) {
-        // Each reader pins ONE snapshot and compares pruned, parallel-pruned
-        // and unpruned scans over it — appends race only with snapshot
-        // acquisition, never with the scan itself.
+        // Each reader pins ONE snapshot and compares pruned and unpruned
+        // scans over it — appends race only with snapshot acquisition,
+        // never with the scan itself.
         std::shared_ptr<const Table> snap = streaming.Current().table;
         Result<QueryScope> on = ResolveQueryScope(*snap, q, PruningOn());
-        Result<QueryScope> par = ResolveQueryScope(*snap, q, PruningOn(4));
         Result<QueryScope> off = ResolveQueryScope(*snap, q, PruningOff());
-        if (!on.ok() || !off.ok() || !par.ok() ||
-            on->row_ids != off->row_ids || par->row_ids != off->row_ids) {
+        if (!on.ok() || !off.ok() || on->row_ids != off->row_ids) {
           failures.fetch_add(1);
         }
       }
