@@ -273,8 +273,6 @@ SweepResult RunSweepPoint(service::ServingEngine& engine,
       .Field("shed_fraction", result.shed_fraction)
       .Field("queue_scan_p95_ms", HistP95Ms(delta, "pipeline.stage.queue_scan"))
       .Field("scan_p95_ms", HistP95Ms(delta, "pipeline.stage.scan"))
-      .Field("queue_select_p95_ms",
-             HistP95Ms(delta, "pipeline.stage.queue_select"))
       .Field("select_p95_ms", HistP95Ms(delta, "pipeline.stage.select"))
       .Field("max_lag_ms", report.max_lag_seconds * 1e3)
       .Emit(file);

@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
 
   // ---- 5. Request-scoped tracing: the per-request stage waterfall. ---------
   // A fresh seed forces a cache miss, so the request walks every stage:
-  // queue.scan -> scan -> queue.select -> select under one root span.
+  // queue.scan -> scan -> select under one root span.
   service::SelectRequest traced;
   traced.table_id = "cyber";
   traced.query = queries.front();
@@ -246,7 +246,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(span.start_ns - root.start_ns) * 1e-6,
                 static_cast<double>(span.duration_ns) * 1e-6, attrs.c_str());
   }
-  SUBTAB_CHECK(trace.spans.size() == 5);  // root + 4 stage spans
+  SUBTAB_CHECK(trace.spans.size() == 4);  // root + 3 stage spans
   // The scan span's waterfall line carries the zone-map attribution.
   bool scan_span_attributed = false;
   for (const TraceSpan& span : trace.spans) {

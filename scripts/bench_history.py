@@ -57,8 +57,6 @@ STAGE_KEYS = [
     "queue_scan_p95_ms",
     "scan_p50_ms",
     "scan_p95_ms",
-    "queue_select_p50_ms",
-    "queue_select_p95_ms",
     "select_p50_ms",
     "select_p95_ms",
 ]

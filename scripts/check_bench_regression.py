@@ -42,7 +42,6 @@ LOWER_IS_BETTER = [
     "queue_scan_p95_ms",
     "scan_p50_ms",
     "scan_p95_ms",
-    "queue_select_p95_ms",
     "select_p50_ms",
     "select_p95_ms",
     "shed_rate",

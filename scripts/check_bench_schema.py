@@ -10,7 +10,7 @@ existing with stable keys:
     sink's retention counters (span coverage, containment-hit traces,
     pinned exemplars),
   * `tracing_overhead` — traced vs untraced throughput on the cold staged
-    path,
+    path (median and IQR over interleaved off/on pairs),
   * `selection_sampling` — sampled vs exact select-stage p95 on a >= 10k
     row scope, the measured speedup, and the combined coverage+diversity
     quality ratio with its check/fallback counts,
@@ -62,8 +62,6 @@ REQUIRED_KEYS = {
         "queue_scan_p95_ms",
         "scan_p50_ms",
         "scan_p95_ms",
-        "queue_select_p50_ms",
-        "queue_select_p95_ms",
         "select_p50_ms",
         "select_p95_ms",
         "traces_committed",
@@ -74,6 +72,7 @@ REQUIRED_KEYS = {
         "rps_traced",
         "rps_untraced",
         "overhead",
+        "overhead_iqr",
     ],
     "selection_sampling": [
         "scope_rows",
@@ -115,7 +114,6 @@ REQUIRED_METRICS = {
     "gauges": [
         "engine.queue_depth",
         "pipeline.worker_utilization",
-        "pipeline.effective_max_queue_depth",
     ],
     "histograms": [
         "pipeline.latency",
@@ -139,7 +137,6 @@ SCALE_SWEEP_KEYS = [
     "shed_fraction",
     "queue_scan_p95_ms",
     "scan_p95_ms",
-    "queue_select_p95_ms",
     "select_p95_ms",
     "max_lag_ms",
 ]

@@ -101,9 +101,8 @@ class SubTab {
 
   /// Sub-table of an SP query's result (re-runs only the selection phase).
   /// `seed` as in SelectScoped. Exactly ResolveScope + SelectScoped; the
-  /// serving pipeline runs the two stages as separate queue hops so scans
-  /// and selections interleave across workers, and both paths return
-  /// bit-identical views.
+  /// serving pipeline runs the two stages back to back in one worker task,
+  /// and both paths return bit-identical views.
   Result<SubTabView> SelectForQuery(const SpQuery& query,
                                     std::optional<size_t> k = std::nullopt,
                                     std::optional<size_t> l = std::nullopt,

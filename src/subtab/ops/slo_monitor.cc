@@ -42,11 +42,11 @@ std::string SloStatus::ToJson() const {
       "\"burn\":{\"latency_short\":%.6g,\"latency_long\":%.6g,"
       "\"shed_short\":%.6g,\"shed_long\":%.6g},"
       "\"latency_p95_short_ms\":%.6g,\"shed_rate_short\":%.6g,"
-      "\"clean_streak\":%zu,\"adaptive_queue_depth\":%zu}",
+      "\"clean_streak\":%zu}",
       HealthStateName(state), (unsigned long long)ticks,
       (unsigned long long)transitions, burn_latency_short, burn_latency_long,
       burn_shed_short, burn_shed_long, latency_p95_short_ms, shed_rate_short,
-      clean_streak, adaptive_queue_depth);
+      clean_streak);
 }
 
 SloMonitor::SloMonitor(service::ServingEngine* engine, SloOptions options)
@@ -61,7 +61,6 @@ SloMonitor::SloMonitor(service::ServingEngine* engine, SloOptions options)
   g_burn_shed_long_ = registry->gauge("slo.burn.shed_long");
   g_latency_p95_short_ms_ = registry->gauge("slo.latency_p95_short_ms");
   g_shed_rate_short_ = registry->gauge("slo.shed_rate_short");
-  g_adaptive_queue_depth_ = registry->gauge("slo.adaptive_queue_depth");
   c_ticks_ = registry->counter("slo.ticks");
   c_transitions_ = registry->counter("slo.transitions");
 }
@@ -196,24 +195,6 @@ void SloMonitor::TickLocked(const MetricsSnapshot& snapshot,
     }
   }
 
-  if (options_.adaptive_admission) {
-    if (both_burning) {
-      const size_t current = engine_->effective_max_queue_depth();
-      if (current > 0) {
-        const size_t floor = std::max<size_t>(1, options_.min_queue_depth);
-        const size_t target = std::max(floor, current / 2);
-        if (target < current &&
-            engine_->SetEffectiveMaxQueueDepth(target)) {
-          adaptive_queue_depth_ = target;
-        }
-      }
-    } else if (after == HealthState::kOk && adaptive_queue_depth_ > 0) {
-      engine_->SetEffectiveMaxQueueDepth(
-          engine_->configured_max_queue_depth());
-      adaptive_queue_depth_ = 0;
-    }
-  }
-
   g_health_->Set(static_cast<double>(static_cast<int>(after)));
   g_burn_latency_short_->Set(s.latency);
   g_burn_latency_long_->Set(l.latency);
@@ -221,7 +202,6 @@ void SloMonitor::TickLocked(const MetricsSnapshot& snapshot,
   g_burn_shed_long_->Set(l.shed);
   g_latency_p95_short_ms_->Set(s.p95_seconds * 1e3);
   g_shed_rate_short_->Set(s.shed_rate);
-  g_adaptive_queue_depth_->Set(static_cast<double>(adaptive_queue_depth_));
 
   if (after != before) {
     ++transitions_;
@@ -246,10 +226,6 @@ void SloMonitor::Transition(HealthState from, HealthState to,
     trace.AddRootAttr("burn_latency_long", l.latency);
     trace.AddRootAttr("burn_shed_short", s.shed);
     trace.AddRootAttr("burn_shed_long", l.shed);
-    if (adaptive_queue_depth_ > 0) {
-      trace.AddRootAttr("adaptive_queue_depth",
-                        (uint64_t)adaptive_queue_depth_);
-    }
     trace_id = trace.trace_id();
     trace.FinishRoot();
   }
@@ -274,7 +250,6 @@ SloStatus SloMonitor::status() const {
   out.latency_p95_short_ms = last_short_.p95_seconds * 1e3;
   out.shed_rate_short = last_short_.shed_rate;
   out.clean_streak = clean_streak_;
-  out.adaptive_queue_depth = adaptive_queue_depth_;
   return out;
 }
 

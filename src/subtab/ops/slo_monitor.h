@@ -35,14 +35,8 @@
 /// engine's own registry (one /metrics scrape shows engine and monitor
 /// state together — docs/STATS.md); every transition commits an
 /// "slo.transition" trace to the engine's sink and emits a trace-tagged
-/// warning log line.
-///
-/// Adaptive admission (optional, requires EngineOptions::
-/// slo_adaptive_admission): while both windows burn, the monitor halves the
-/// engine's effective global queue bound toward min_queue_depth — shedding
-/// earlier is the only lever that shortens the queue a latency SLO is
-/// drowning in — and restores the configured bound once health returns to
-/// ok.
+/// warning log line. The monitor only observes: the engine's admission
+/// bounds are the configured EngineOptions values.
 
 namespace subtab::ops {
 
@@ -65,11 +59,6 @@ struct SloOptions {
   double burn_threshold = 1.0;
   /// Consecutive clean short-window ticks required per recovery step.
   size_t recovery_ticks = 3;
-  /// Tighten the engine's effective max_queue_depth while burning (no-op
-  /// unless the engine was built with slo_adaptive_admission).
-  bool adaptive_admission = false;
-  /// Floor the adaptive bound never tightens past.
-  size_t min_queue_depth = 1;
 };
 
 /// Point-in-time monitor state, as exposed on /statusz and by tests.
@@ -88,8 +77,6 @@ struct SloStatus {
   double shed_rate_short = 0.0;
   /// Clean short-window streak (resets whenever the short window burns).
   size_t clean_streak = 0;
-  /// What adaptive admission last set (0 = never tightened / not enabled).
-  size_t adaptive_queue_depth = 0;
 
   std::string ToJson() const;
 };
@@ -116,7 +103,7 @@ class SloMonitor {
 
   /// Test seam: runs one tick against an externally supplied snapshot and
   /// clock, exactly as the ticker thread would (window math, hysteresis,
-  /// gauge export, transition traces, adaptive admission). `now_seconds` is
+  /// gauge export, transition traces). `now_seconds` is
   /// an arbitrary monotonic clock; ticks must be fed in increasing order.
   void TickWithSnapshotForTesting(const MetricsSnapshot& snapshot,
                                   double now_seconds);
@@ -155,7 +142,6 @@ class SloMonitor {
   Gauge* g_burn_shed_long_;
   Gauge* g_latency_p95_short_ms_;
   Gauge* g_shed_rate_short_;
-  Gauge* g_adaptive_queue_depth_;
   Counter* c_ticks_;
   Counter* c_transitions_;
 
@@ -167,7 +153,6 @@ class SloMonitor {
   uint64_t ticks_ = 0;
   uint64_t transitions_ = 0;
   size_t clean_streak_ = 0;
-  size_t adaptive_queue_depth_ = 0;
   WindowBurn last_short_;
   WindowBurn last_long_;
 

@@ -78,7 +78,6 @@ ServingEngine::ServingEngine(EngineOptions options)
   h_latency_ = metrics_.histogram("pipeline.latency");
   h_queue_scan_ = metrics_.histogram("pipeline.stage.queue_scan");
   h_scan_ = metrics_.histogram("pipeline.stage.scan");
-  h_queue_select_ = metrics_.histogram("pipeline.stage.queue_select");
   h_select_ = metrics_.histogram("pipeline.stage.select");
   g_queue_depth_ = metrics_.gauge("engine.queue_depth");
   g_workers_active_ = metrics_.gauge("pipeline.workers_active");
@@ -88,25 +87,9 @@ ServingEngine::ServingEngine(EngineOptions options)
   g_memory_resident_ = metrics_.gauge("memory.resident_bytes");
   g_memory_logical_ = metrics_.gauge("memory.logical_bytes");
   g_memory_saved_ = metrics_.gauge("memory.shared_saved_bytes");
-  g_effective_max_queue_depth_ = metrics_.gauge("pipeline.effective_max_queue_depth");
-  effective_max_queue_depth_.store(options_.max_queue_depth,
-                                   std::memory_order_relaxed);
-  g_effective_max_queue_depth_->Set(
-      static_cast<double>(options_.max_queue_depth));
   if (options_.tracing) {
     trace_sink_ = std::make_shared<TraceSink>(options_.trace_sink);
   }
-}
-
-bool ServingEngine::SetEffectiveMaxQueueDepth(size_t depth) {
-  if (!options_.slo_adaptive_admission || options_.max_queue_depth == 0) {
-    return false;
-  }
-  const size_t clamped =
-      std::min(std::max<size_t>(1, depth), options_.max_queue_depth);
-  effective_max_queue_depth_.store(clamped, std::memory_order_relaxed);
-  g_effective_max_queue_depth_->Set(static_cast<double>(clamped));
-  return true;
 }
 
 ServingEngine::~ServingEngine() {
@@ -339,11 +322,7 @@ SelectionKey ServingEngine::KeyFor(const TableEntry& entry,
 }
 
 ServingEngine::Admission ServingEngine::TryAdmit(const std::string& tenant) {
-  // The EFFECTIVE bound, not the configured one — SLO-adaptive admission
-  // may have tightened it (SetEffectiveMaxQueueDepth), and shed messages /
-  // /statusz report the same value, so clients and operators see one truth.
-  const size_t max_depth =
-      effective_max_queue_depth_.load(std::memory_order_relaxed);
+  const size_t max_depth = options_.max_queue_depth;
   if (max_depth > 0 && pool_.queue_depth() >= max_depth) {
     return Admission::kShedGlobalQueue;
   }
@@ -456,8 +435,8 @@ std::shared_future<SelectResponse> ServingEngine::SubmitSelect(
     std::string message =
         admission == Admission::kShedGlobalQueue
             ? StrFormat("request shed: global queue depth is over its "
-                        "effective bound (%llu)",
-                        (unsigned long long)effective_max_queue_depth())
+                        "bound (%llu)",
+                        (unsigned long long)options_.max_queue_depth)
             : "request shed: tenant '" + request.table_id +
                   "' is over its bound (" +
                   StrFormat("%llu",
@@ -615,7 +594,6 @@ void ServingEngine::ExecuteScan(const std::shared_ptr<PendingSelect>& pending) {
     FinishComputation(pending, outcome);
     return;
   }
-  pending->scope = std::move(*scope);
   if (options_.containment_reuse) {
     // Offer the resolved scope to the containment index, then re-check the
     // binding: a content-superseding republish between the insert and this
@@ -631,13 +609,13 @@ void ServingEngine::ExecuteScan(const std::shared_ptr<PendingSelect>& pending) {
     // refresh upgrade of the same version), whose scopes must survive.
     const bool within_budget =
         options_.scope_index_rows_per_model == 0 ||
-        pending->scope.rows.size() <= options_.scope_index_rows_per_model;
+        scope->rows.size() <= options_.scope_index_rows_per_model;
     if (ScopeIndex::Indexable(pending->request.query) && within_budget) {
       // The budget pre-check keeps an oversized scope (which Insert would
       // reject anyway) from being deep-copied just to be discarded.
       selection_cache_.InsertScope(
           pending->scope_digest, pending->request.query,
-          std::make_shared<const std::vector<size_t>>(pending->scope.rows));
+          std::make_shared<const std::vector<size_t>>(scope->rows));
       bool content_live = false;
       {
         std::shared_lock<std::shared_mutex> lock(tables_mu_);
@@ -649,17 +627,11 @@ void ServingEngine::ExecuteScan(const std::shared_ptr<PendingSelect>& pending) {
       }
     }
   }
-  // Separate queue hop: this worker is free for another request's scan (or
-  // select) while the clustering below waits its turn.
-  pending->queue_span = pending->trace.StartSpan("queue.select");
-  pending->hop.Reset();
-  pool_.Submit([this, pending] { ExecuteSelect(pending); });
+  ExecuteSelect(pending, *scope);
 }
 
-void ServingEngine::ExecuteSelect(const std::shared_ptr<PendingSelect>& pending) {
-  h_queue_select_->Record(pending->hop.ElapsedSeconds());
-  LogTraceScope log_scope(pending->trace.trace_id());
-  pending->trace.FinishSpan(std::move(pending->queue_span));
+void ServingEngine::ExecuteSelect(const std::shared_ptr<PendingSelect>& pending,
+                                  const SelectionScope& scope) {
   TraceSpan span = pending->trace.StartSpan("select");
   Stopwatch stage;
   // k/l/seed were resolved against the model's config at submit time
@@ -669,7 +641,7 @@ void ServingEngine::ExecuteSelect(const std::shared_ptr<PendingSelect>& pending)
   sampling.min_rows = options_.sampled_selection_min_rows;
   sampling.sample_rows = options_.selection_sample_rows;
   SubTabView view = pending->model->SelectScoped(
-      pending->scope, pending->key.k, pending->key.l, pending->key.seed,
+      scope, pending->key.k, pending->key.l, pending->key.seed,
       sampling);
   c_select_busy_ns_->Add(static_cast<uint64_t>(stage.ElapsedSeconds() * 1e9));
   h_select_->Record(stage.ElapsedSeconds());
@@ -684,10 +656,10 @@ void ServingEngine::ExecuteSelect(const std::shared_ptr<PendingSelect>& pending)
   if (view.sampled) {
     c_sel_sampled_->Add(1);
     c_sel_sample_rows_->Add(view.sample_rows);
-    c_sel_scope_rows_->Add(pending->scope.rows.size());
+    c_sel_scope_rows_->Add(scope.rows.size());
     if (sample_quality_.ShouldCheck(pending->key.model_digest)) {
       SubTabView exact = pending->model->SelectScoped(
-          pending->scope, pending->key.k, pending->key.l, pending->key.seed);
+          scope, pending->key.k, pending->key.l, pending->key.seed);
       quality_ratio = sample_quality_.QualityRatio(
           pending->key.model_digest, pending->model->preprocessed().binned(),
           pending->model, view.row_ids, view.col_ids, exact.row_ids,
@@ -715,8 +687,8 @@ void ServingEngine::ExecuteSelect(const std::shared_ptr<PendingSelect>& pending)
   if (span.enabled()) {
     span.AddAttr("k", (uint64_t)pending->key.k);
     span.AddAttr("l", (uint64_t)pending->key.l);
-    span.AddAttr("scope_rows", (uint64_t)pending->scope.rows.size());
-    span.AddAttr("scope_cols", (uint64_t)pending->scope.cols.size());
+    span.AddAttr("scope_rows", (uint64_t)scope.rows.size());
+    span.AddAttr("scope_cols", (uint64_t)scope.cols.size());
     span.AddAttr("sampled", (uint64_t)(view.sampled ? 1 : 0));
     span.AddAttr("sample_rows", (uint64_t)view.sample_rows);
     if (quality_ratio >= 0.0) {
@@ -828,7 +800,6 @@ EngineStats ServingEngine::Stats() const {
       static_cast<double>(c_select_busy_ns_->Value()) * 1e-9;
   stats.pipeline.stage_queue_scan = StageView(h_queue_scan_);
   stats.pipeline.stage_scan = StageView(h_scan_);
-  stats.pipeline.stage_queue_select = StageView(h_queue_select_);
   stats.pipeline.stage_select = StageView(h_select_);
   const LatencyHistogram::Snapshot latency = h_latency_->TakeSnapshot();
   stats.pipeline.latency_p50_ms = latency.Percentile(0.50) * 1e3;
@@ -846,8 +817,7 @@ EngineStats ServingEngine::Stats() const {
     std::lock_guard<std::mutex> lock(admission_mu_);
     stats.pipeline.tenants_tracked = tenant_pending_.size();
   }
-  stats.pipeline.max_queue_depth_effective = effective_max_queue_depth();
-  stats.pipeline.max_queue_depth_configured = options_.max_queue_depth;
+  stats.pipeline.max_queue_depth = options_.max_queue_depth;
   stats.pipeline.max_pending_per_tenant = options_.max_pending_per_tenant;
 
   stats.selection.sampled = c_sel_sampled_->Value();
@@ -985,14 +955,12 @@ std::string EngineStats::ToJson() const {
   json += "\"stages\":{";
   json += stage_json("queue_scan", pipeline.stage_queue_scan) + ",";
   json += stage_json("scan", pipeline.stage_scan) + ",";
-  json += stage_json("queue_select", pipeline.stage_queue_select) + ",";
   json += stage_json("select", pipeline.stage_select);
   json += "},";
   json += StrFormat(
-      "\"admission\":{\"max_queue_depth_effective\":%zu,"
-      "\"max_queue_depth_configured\":%zu,\"max_pending_per_tenant\":%zu}",
-      pipeline.max_queue_depth_effective, pipeline.max_queue_depth_configured,
-      pipeline.max_pending_per_tenant);
+      "\"admission\":{\"max_queue_depth\":%zu,"
+      "\"max_pending_per_tenant\":%zu}",
+      pipeline.max_queue_depth, pipeline.max_pending_per_tenant);
   json += "},";
   json += StrFormat(
       "\"trace\":{\"committed\":%llu,\"ring_evicted\":%llu,"

@@ -1,7 +1,6 @@
 #ifndef SUBTAB_SERVICE_ENGINE_H_
 #define SUBTAB_SERVICE_ENGINE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -36,16 +35,18 @@
 ///   SubmitSelect ─── SelectionCache ── repeated displays are cache hits
 ///                └── in-flight dedup ── identical concurrent requests run once
 ///                └── admission ──────── bounded per-tenant queues shed early
-///                └── pipeline ───────── normalize -> scan -> select stages
+///                └── pipeline ───────── normalize, then one worker task:
+///                                       scan -> select
 ///                └── containment ────── a miss whose query refines a cached
 ///                                       ancestor rescans only that scope
 ///
 /// Requests flow through a staged pipeline: normalization and cache/dedup
-/// checks happen at submit, then the *scan* stage (ResolveScope — the
-/// query's zone-map-pruned filter scan) and the *select* stage
-/// (SelectScoped — clustering) run as separate queue hops on the worker
-/// pool, so one request's scan overlaps another's selection and neither
-/// materializes the intermediate query result. Admission control
+/// checks happen at submit, then ONE worker-pool task runs the *scan* stage
+/// (ResolveScope — the query's zone-map-pruned filter scan) and hands its
+/// scope straight to the *select* stage (SelectScoped — clustering), so
+/// the intermediate query result is never materialized. A second queue
+/// hop between the stages would add no parallelism: both stages run on the
+/// same workers. Admission control
 /// bounds what a single tenant (table id) may keep in flight and what the
 /// whole queue may hold; excess requests fail fast with kUnavailable
 /// instead of queueing unboundedly (EngineStats::pipeline counts sheds and
@@ -123,13 +124,6 @@ struct EngineOptions {
   /// Global bound on the worker queue depth before sheds kick in for
   /// everyone. 0 = unbounded.
   size_t max_queue_depth = 0;
-  /// Lets an SLO monitor (ops/slo_monitor.h) tighten the global queue bound
-  /// at runtime while the error budget is burning and restore it on
-  /// recovery (SetEffectiveMaxQueueDepth). Off = the effective bound is
-  /// pinned to max_queue_depth and tightening requests are refused. Only
-  /// meaningful when max_queue_depth > 0 — an unbounded queue has no bound
-  /// to shrink.
-  bool slo_adaptive_admission = false;
   /// Containment-based scan reuse for drill-down sessions: on a selection-
   /// cache miss, probe the scope index for the nearest cached ancestor query
   /// (a proven superset, table/query.h QueryContains) and scan only its rows
@@ -245,19 +239,14 @@ struct PipelineStats {
   size_t workers_active = 0;
   double worker_utilization = 0.0;  ///< workers_active / num_threads.
   size_t tenants_tracked = 0;       ///< Tenants with admitted work.
-  /// Per-stage latency attribution: queue wait before the scan hop, the
-  /// scan itself, queue wait before the select hop, the selection. Recorded
-  /// for every staged computation whether tracing is on or off.
+  /// Per-stage latency attribution: queue wait from admission until a
+  /// worker picks the computation up, the scan itself, the selection.
+  /// Recorded for every staged computation whether tracing is on or off.
   StageLatencyStats stage_queue_scan;
   StageLatencyStats stage_scan;
-  StageLatencyStats stage_queue_select;
   StageLatencyStats stage_select;
-  /// Admission limits as enforced RIGHT NOW. `max_queue_depth_effective` is
-  /// what TryAdmit checks — it differs from `max_queue_depth_configured`
-  /// only while SLO-adaptive admission has tightened it; shed messages and
-  /// /statusz both report this effective value (0 = unbounded).
-  size_t max_queue_depth_effective = 0;
-  size_t max_queue_depth_configured = 0;
+  /// Admission limits TryAdmit enforces (EngineOptions; 0 = unbounded).
+  size_t max_queue_depth = 0;
   size_t max_pending_per_tenant = 0;
 };
 
@@ -414,22 +403,6 @@ class ServingEngine {
   /// Refreshes the gauges (one Stats() pass) and renders the registry.
   std::string MetricsJson() const;
 
-  /// The global queue bound TryAdmit enforces right now: equal to
-  /// EngineOptions::max_queue_depth unless SLO-adaptive admission tightened
-  /// it (0 = unbounded).
-  size_t effective_max_queue_depth() const {
-    return effective_max_queue_depth_.load(std::memory_order_relaxed);
-  }
-  size_t configured_max_queue_depth() const { return options_.max_queue_depth; }
-
-  /// Sets the effective global queue bound (the SLO monitor's adaptive-
-  /// admission hook). Refused (returns false) unless
-  /// EngineOptions::slo_adaptive_admission is on and a finite
-  /// max_queue_depth is configured; accepted values are clamped to
-  /// [1, max_queue_depth] — adaptation may only TIGHTEN the configured
-  /// bound, never loosen it or introduce one where none was configured.
-  bool SetEffectiveMaxQueueDepth(size_t depth);
-
   /// Test-only: enqueues an opaque task on the worker pool, letting tests
   /// hold workers busy deterministically (e.g. to pin requests in flight).
   void SubmitBarrierTaskForTesting(std::function<void()> task);
@@ -451,25 +424,25 @@ class ServingEngine {
     std::shared_ptr<stream::StreamSession> stream;
   };
 
-  /// One admitted computation flowing through the pipeline stages.
+  /// One admitted computation, handed from the submitting thread to the
+  /// worker task that runs its scan and select stages.
   struct PendingSelect {
     SelectionKey key;
     uint64_t key_digest = 0;
     uint64_t scope_digest = 0;  ///< TableEntry::scope_digest at submit.
     std::shared_ptr<const SubTab> model;
     SelectRequest request;
-    SelectionScope scope;  ///< Filled by the scan stage.
     Stopwatch submitted;   ///< End-to-end latency clock.
     bool tenant_admitted = false;
-    /// The request's trace, carried BY VALUE across queue hops — stages
-    /// migrate threads, so nothing trace-shaped may live in thread-locals
+    /// The request's trace, carried BY VALUE from the submitting thread to
+    /// the worker — nothing trace-shaped may live in thread-locals
     /// (util/trace.h). Disabled handle when tracing is off.
     TraceContext trace;
-    /// The open queue-wait span between hops (queue.scan, then reused for
-    /// queue.select); finished by the stage that dequeues.
+    /// The open queue.scan span; finished when a worker picks the
+    /// computation up.
     TraceSpan queue_span;
-    /// Queue-wait clock between hops — feeds the pipeline.stage.queue_*
-    /// histograms even when tracing is off.
+    /// Queue-wait clock from admission to worker pickup — feeds the
+    /// pipeline.stage.queue_scan histogram even when tracing is off.
     Stopwatch hop;
   };
 
@@ -500,10 +473,12 @@ class ServingEngine {
   Admission TryAdmit(const std::string& tenant);
   void ReleaseTenant(const std::string& tenant);
 
-  /// Pipeline stage 2: the query's filter scan; enqueues the select stage.
+  /// The worker task: the query's filter scan (pipeline stage 2), then the
+  /// select stage on the same worker.
   void ExecuteScan(const std::shared_ptr<PendingSelect>& pending);
   /// Pipeline stage 3: clustering over the resolved scope.
-  void ExecuteSelect(const std::shared_ptr<PendingSelect>& pending);
+  void ExecuteSelect(const std::shared_ptr<PendingSelect>& pending,
+                     const SelectionScope& scope);
   /// Shared tail: memoize, resolve every waiter, release admission.
   void FinishComputation(const std::shared_ptr<PendingSelect>& pending,
                          const CachedSelection& outcome);
@@ -541,12 +516,6 @@ class ServingEngine {
   mutable std::mutex admission_mu_;
   std::unordered_map<std::string, size_t> tenant_pending_;
 
-  /// The global queue bound TryAdmit reads (== options_.max_queue_depth
-  /// unless SLO-adaptive admission tightened it). Relaxed atomic: admission
-  /// is already approximate under concurrency, and the monitor's ticker is
-  /// the only writer.
-  std::atomic<size_t> effective_max_queue_depth_;
-
   /// Every counter/gauge/histogram the engine maintains lives here under a
   /// stable dotted name; the EngineStats sections are snapshot views over
   /// it. The pointers below are the constructor-cached instruments the
@@ -583,7 +552,6 @@ class ServingEngine {
   LatencyHistogram* h_latency_;
   LatencyHistogram* h_queue_scan_;
   LatencyHistogram* h_scan_;
-  LatencyHistogram* h_queue_select_;
   LatencyHistogram* h_select_;
   Gauge* g_queue_depth_;
   Gauge* g_workers_active_;
@@ -593,7 +561,6 @@ class ServingEngine {
   Gauge* g_memory_resident_;
   Gauge* g_memory_logical_;
   Gauge* g_memory_saved_;
-  Gauge* g_effective_max_queue_depth_;
 
   /// Quality gate for the sampled selection path (internally synchronized);
   /// quality_mu_ guards only the last/min ratio aggregates below, which the

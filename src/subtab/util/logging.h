@@ -22,10 +22,10 @@ LogLevel GetLogLevel();
 
 /// Tags log lines emitted by the current thread with a trace id (RAII;
 /// restores the previous tag on destruction, so nested scopes stack).
-/// Pipeline stages arm this at entry from the trace carried BY VALUE in the
-/// request — the thread-local here is only the log-line tag, never the span
-/// propagation path (stages migrate threads between queue hops; see
-/// util/trace.h). A zero id leaves lines untagged.
+/// The pipeline's worker task arms this at entry from the trace carried BY
+/// VALUE in the request — the thread-local here is only the log-line tag,
+/// never the span propagation path (a request migrates threads at the
+/// queue; see util/trace.h). A zero id leaves lines untagged.
 class LogTraceScope {
  public:
   explicit LogTraceScope(uint64_t trace_id);

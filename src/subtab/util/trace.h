@@ -18,13 +18,15 @@
 /// time" (docs/OBSERVABILITY.md).
 ///
 /// Propagation is BY VALUE: a TraceContext is a copyable handle over shared
-/// state, carried inside the pipeline's PendingSelect across queue hops, and
-/// an in-flight TraceSpan is a plain value struct handed from the stage that
-/// opened it to the stage that closes it. No thread-locals anywhere in the
-/// span path — pipeline stages migrate threads between hops, so ambient
-/// state would attribute spans to whichever request last ran on the worker.
-/// (The only thread-local in the observability layer is the *log tag*,
-/// logging.h's LogTraceScope, which is re-armed at every stage entry.)
+/// state, carried inside the pipeline's PendingSelect from the submitting
+/// thread to the worker, and an in-flight TraceSpan is a plain value struct
+/// handed from the code that opened it to the code that closes it (the
+/// queue.scan span opens at submit and closes on the worker). No
+/// thread-locals anywhere in the span path — a request migrates threads at
+/// the queue, so ambient state would attribute spans to whichever request
+/// last ran on the worker. (The only thread-local in the observability
+/// layer is the *log tag*, logging.h's LogTraceScope, which the worker task
+/// re-arms at entry.)
 ///
 /// Completed traces land in a TraceSink: a lock-sharded in-memory ring
 /// buffer (bounded, overwrite-oldest) plus a bounded per-shard exemplar
@@ -190,7 +192,7 @@ class TraceContext {
   uint64_t trace_id() const;
 
   /// Opens a child span of the root, stamped now. The returned value is
-  /// owned by the caller until FinishSpan — hand it across queue hops by
+  /// owned by the caller until FinishSpan — hand it across threads by
   /// value (e.g. inside the pipeline's PendingSelect).
   TraceSpan StartSpan(std::string name) const;
 

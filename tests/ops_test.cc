@@ -410,80 +410,16 @@ TEST(SloMonitorTest, SpikeInShortWindowOnlyDoesNotFlipHealth) {
   EXPECT_EQ(monitor.health(), HealthState::kOk);
 }
 
-// ------------------------------------------------------ adaptive admission --
+// --------------------------------------------------------- admission bound --
 
-TEST(AdaptiveAdmissionTest, TightensWhileBurningAndRestoresOnRecovery) {
+TEST(AdmissionBoundTest, ShedMessageAndStatsReportConfiguredBound) {
   EngineOptions options;
   options.num_threads = 1;
-  options.max_queue_depth = 64;
-  options.slo_adaptive_admission = true;
-  ServingEngine engine(options);
-  EXPECT_EQ(engine.effective_max_queue_depth(), 64u);
-
-  SloOptions slo = TestSloOptions();
-  slo.adaptive_admission = true;
-  slo.min_queue_depth = 4;
-  SloMonitor monitor(&engine, slo);
-  SyntheticFeed feed;
-  double now = 0.0;
-  monitor.TickWithSnapshotForTesting(feed.Tick(100, 0, 100, 0.001), now++);
-  // Sustained burn halves the effective bound toward the floor each tick.
-  for (int i = 0; i < 6; ++i) {
-    monitor.TickWithSnapshotForTesting(feed.Tick(100, 0, 100, 1.0), now++);
-  }
-  EXPECT_EQ(engine.effective_max_queue_depth(), 4u);  // 64/2^4, floored.
-  EXPECT_EQ(engine.configured_max_queue_depth(), 64u);
-  EXPECT_EQ(monitor.status().adaptive_queue_depth, 4u);
-
-  // Recovery to ok restores the configured bound.
-  for (int i = 0; i < 20 && monitor.health() != HealthState::kOk; ++i) {
-    monitor.TickWithSnapshotForTesting(feed.Tick(100, 0, 100, 0.001), now++);
-  }
-  EXPECT_EQ(monitor.health(), HealthState::kOk);
-  EXPECT_EQ(engine.effective_max_queue_depth(), 64u);
-  EXPECT_EQ(monitor.status().adaptive_queue_depth, 0u);
-}
-
-TEST(AdaptiveAdmissionTest, RefusedWithoutOptInOrWithoutConfiguredBound) {
-  {
-    EngineOptions options;
-    options.max_queue_depth = 16;  // Bounded, but adaptation not opted in.
-    ServingEngine engine(options);
-    EXPECT_FALSE(engine.SetEffectiveMaxQueueDepth(8));
-    EXPECT_EQ(engine.effective_max_queue_depth(), 16u);
-  }
-  {
-    EngineOptions options;
-    options.slo_adaptive_admission = true;  // Opted in, but unbounded queue.
-    ServingEngine engine(options);
-    EXPECT_FALSE(engine.SetEffectiveMaxQueueDepth(8));
-    EXPECT_EQ(engine.effective_max_queue_depth(), 0u);
-  }
-  {
-    EngineOptions options;
-    options.max_queue_depth = 16;
-    options.slo_adaptive_admission = true;
-    ServingEngine engine(options);
-    // Clamped into [1, configured]: tightening only, never loosening.
-    EXPECT_TRUE(engine.SetEffectiveMaxQueueDepth(1000));
-    EXPECT_EQ(engine.effective_max_queue_depth(), 16u);
-    EXPECT_TRUE(engine.SetEffectiveMaxQueueDepth(0));
-    EXPECT_EQ(engine.effective_max_queue_depth(), 1u);
-    EXPECT_TRUE(engine.SetEffectiveMaxQueueDepth(8));
-    EXPECT_EQ(engine.effective_max_queue_depth(), 8u);
-  }
-}
-
-TEST(AdaptiveAdmissionTest, ShedMessageAndStatsReportEffectiveBound) {
-  EngineOptions options;
-  options.num_threads = 1;
-  options.max_queue_depth = 4;
-  options.slo_adaptive_admission = true;
+  options.max_queue_depth = 2;
   ServingEngine engine(options);
   ASSERT_TRUE(engine.RegisterTable("t", SmallTable(), SmallConfig()).ok());
-  ASSERT_TRUE(engine.SetEffectiveMaxQueueDepth(2));
 
-  // Hold the worker, then fill the queue past the TIGHTENED bound.
+  // Hold the worker, then fill the queue past the bound.
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   engine.SubmitBarrierTaskForTesting([opened] { opened.wait(); });
@@ -496,14 +432,11 @@ TEST(AdaptiveAdmissionTest, ShedMessageAndStatsReportEffectiveBound) {
     futures.push_back(engine.SubmitSelect(request));
   }
 
-  // Regression (the shed message used to cite the configured bound): the
-  // kUnavailable message and /statusz must agree on the EFFECTIVE bound.
+  // The kUnavailable message and /statusz agree on the one bound.
   const service::EngineStats stats = engine.Stats();
-  EXPECT_EQ(stats.pipeline.max_queue_depth_effective, 2u);
-  EXPECT_EQ(stats.pipeline.max_queue_depth_configured, 4u);
+  EXPECT_EQ(stats.pipeline.max_queue_depth, 2u);
   const std::string json = stats.ToJson();
-  EXPECT_NE(json.find("\"max_queue_depth_effective\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"max_queue_depth_configured\":4"), std::string::npos);
+  EXPECT_NE(json.find("\"max_queue_depth\":2"), std::string::npos);
 
   gate.set_value();
   engine.Drain();
@@ -512,8 +445,7 @@ TEST(AdaptiveAdmissionTest, ShedMessageAndStatsReportEffectiveBound) {
     const SelectResponse response = future.get();
     if (response.status.code() != StatusCode::kUnavailable) continue;
     ++shed;
-    EXPECT_NE(response.status.message().find("effective bound (2)"),
-              std::string::npos)
+    EXPECT_NE(response.status.message().find("bound (2)"), std::string::npos)
         << response.status.message();
   }
   EXPECT_GT(shed, 0u);

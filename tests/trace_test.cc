@@ -1,6 +1,6 @@
 // Tests for the observability layer (util/trace.h, util/metrics.h and their
 // engine/stream integration): span parent/child integrity across the staged
-// pipeline's queue hops, ring eviction that keeps slow-query exemplars
+// pipeline, ring eviction that keeps slow-query exemplars
 // pinned, MetricsRegistry delta snapshots, trace-tagged logging scopes, and
 // a TSan-targeted concurrent session (drill-down chains + stream appends
 // racing the sink's readers).
@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <thread>
 #include <unordered_set>
@@ -371,7 +372,7 @@ TEST(LogTraceScopeTest, NestsAndRestores) {
 
 // ----------------------------------------------------- Engine integration --
 
-TEST(EngineTraceTest, DrillDownTraceSpansStagesAcrossHops) {
+TEST(EngineTraceTest, DrillDownTraceSpansEveryStage) {
   EngineOptions options;
   options.num_threads = 2;
   ServingEngine engine(options);
@@ -395,7 +396,7 @@ TEST(EngineTraceTest, DrillDownTraceSpansStagesAcrossHops) {
 
   const CompletedTrace& trace = *response.trace;
   EXPECT_EQ(trace.trace_id, response.trace_id);
-  ASSERT_EQ(trace.spans.size(), 5u);
+  ASSERT_EQ(trace.spans.size(), 4u);
   const TraceSpan& root = trace.root();
   EXPECT_EQ(root.name, "select");
   ASSERT_NE(root.FindAttr("table"), nullptr);
@@ -404,8 +405,8 @@ TEST(EngineTraceTest, DrillDownTraceSpansStagesAcrossHops) {
   ASSERT_NE(root.FindAttr("status"), nullptr);
   EXPECT_EQ(*root.FindAttr("status"), "ok");
 
-  // The four stage spans, in finish order, all children of the root.
-  const char* expected[] = {"queue.scan", "scan", "queue.select", "select"};
+  // The three stage spans, in finish order, all children of the root.
+  const char* expected[] = {"queue.scan", "scan", "select"};
   uint64_t staged_ns = 0;
   for (size_t i = 1; i < trace.spans.size(); ++i) {
     const TraceSpan& span = trace.spans[i];
@@ -424,7 +425,7 @@ TEST(EngineTraceTest, DrillDownTraceSpansStagesAcrossHops) {
   ASSERT_NE(scan.FindAttr("rows_visited"), nullptr);
   ASSERT_NE(scan.FindAttr("restricted"), nullptr);
   EXPECT_EQ(*scan.FindAttr("restricted"), "true");
-  const TraceSpan& select = trace.spans[4];
+  const TraceSpan& select = trace.spans[3];
   ASSERT_NE(select.FindAttr("scope_rows"), nullptr);
 
   // The sink retained it (no explain needed to be retained).
@@ -433,6 +434,63 @@ TEST(EngineTraceTest, DrillDownTraceSpansStagesAcrossHops) {
     if (kept->trace_id == response.trace_id) retained = true;
   }
   EXPECT_TRUE(retained);
+}
+
+TEST(EngineTraceTest, ScanHandsItsScopeToSelectWithoutRequeueing) {
+  EngineOptions options;
+  options.num_threads = 1;
+  ServingEngine engine(options);
+  ASSERT_TRUE(engine.RegisterTable("t", DrillTable(), TinyConfig()).ok());
+
+  // Hold the only worker while two distinct misses queue up behind it.
+  std::promise<void> gate;
+  std::shared_future<void> opened = gate.get_future().share();
+  engine.SubmitBarrierTaskForTesting([opened] { opened.wait(); });
+  SelectRequest a;
+  a.table_id = "t";
+  a.query = Where({Predicate::Num("a", CmpOp::kGe, 5.0)});
+  a.trace_explain = true;
+  SelectRequest b = a;
+  b.query = Where({Predicate::Num("a", CmpOp::kGe, 6.0)});
+  const auto before = std::chrono::steady_clock::now();
+  std::shared_future<SelectResponse> fa = engine.SubmitSelect(a);
+  std::shared_future<SelectResponse> fb = engine.SubmitSelect(b);
+  const auto after = std::chrono::steady_clock::now();
+  // A probe queued after both: one task per computation means A and B have
+  // both resolved by the time the worker reaches it. A re-queued select
+  // stage would still be waiting behind the probe.
+  std::promise<bool> probe;
+  engine.SubmitBarrierTaskForTesting([fa, fb, &probe] {
+    const auto ready = [](const std::shared_future<SelectResponse>& f) {
+      return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
+    };
+    probe.set_value(ready(fa) && ready(fb));
+  });
+  gate.set_value();
+  engine.Drain();
+  EXPECT_TRUE(probe.get_future().get());
+
+  const SelectResponse ra = fa.get();
+  const SelectResponse rb = fb.get();
+  ASSERT_TRUE(ra.status.ok());
+  ASSERT_TRUE(rb.status.ok());
+  ASSERT_NE(ra.trace, nullptr);
+  ASSERT_NE(rb.trace, nullptr);
+  const auto find = [](const CompletedTrace& trace, const char* name) {
+    for (const TraceSpan& span : trace.spans) {
+      if (span.name == name) return span;
+    }
+    ADD_FAILURE() << "no span " << name;
+    return TraceSpan{};
+  };
+  const TraceSpan a_select = find(*ra.trace, "select");
+  const TraceSpan b_scan = find(*rb.trace, "scan");
+  // Span times are relative to each trace's own epoch, and B's epoch lies
+  // at most `window` after A's: A's select must end before B's scan starts.
+  const uint64_t window = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(after - before)
+          .count());
+  EXPECT_LE(a_select.start_ns + a_select.duration_ns, b_scan.start_ns + window);
 }
 
 TEST(EngineTraceTest, CacheHitTraceIsRootOnlyWithTier) {
@@ -524,7 +582,7 @@ TEST(EngineTraceTest, StatsJsonCarriesStagesAndTraceSections) {
 
   const std::string json = engine.Stats().ToJson();
   for (const char* key :
-       {"\"stages\":", "\"queue_scan\":", "\"queue_select\":",
+       {"\"stages\":", "\"queue_scan\":",
         "\"shed_global_queue\":", "\"shed_tenant\":", "\"trace\":",
         "\"exemplars_pinned\":", "\"worker_utilization\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
